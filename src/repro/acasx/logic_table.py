@@ -23,10 +23,10 @@ from repro.acasx.config import AcasConfig
 from repro.mdp.grid import Grid, UniformAxis
 
 
-#: Rows per block of the vectorized Q lookup: 256 rows × 2 stages ×
-#: NUM_ADVISORIES × 8 corners of float64 ≈ 160 KB of temporaries, small
-#: enough to stay in cache at any batch width.
-_Q_BATCH_BLOCK = 256
+#: Rows per block of the vectorized Q lookup: 1024 rows × 2 stages ×
+#: NUM_ADVISORIES × 8 corners of gathered values and products stays a
+#: few MB of temporaries at any batch width.
+_Q_BATCH_BLOCK = 1024
 
 
 def make_cube_grid(config: AcasConfig) -> Grid:
@@ -152,10 +152,10 @@ class LogicTable:
         indices, weights = self.grid.interp_table(coords)  # (n, 8)
         cube = self.config.cube_size
         flat_q = self.q.reshape(-1)
-        # One gather over an (n, 2, NUM_ADVISORIES, corners) index block
+        # One gather over a (corners, n, 2, NUM_ADVISORIES) index block
         # instead of a per-advisory Python loop: the flat offset of
         # corner c of action a at stage k is
-        # ((k * A + current) * A + a) * cube + indices[c]; the second
+        # ((k * A + current) * A + a) * cube + indices[c]; the stage
         # axis packs the bracketing stages (k_lo, k_hi) so both ends of
         # the tau interpolation come out of a single fancy index.
         action_offsets = np.arange(NUM_ADVISORIES, dtype=np.int64) * cube
@@ -164,6 +164,10 @@ class LogicTable:
             ((stages * NUM_ADVISORIES + current_indices[:, None])
              * NUM_ADVISORIES * cube)[:, :, None] + action_offsets
         )  # (n, 2, A)
+        # Corner-major, so each corner's products are one contiguous
+        # array for the sum below.
+        corner_index = np.ascontiguousarray(indices.T)[:, :, None, None]
+        corner_weight = np.ascontiguousarray(weights.T)[:, :, None, None]
         n = tau.shape[0]
         out = np.empty((n, NUM_ADVISORIES))
         # Evaluate in row blocks so the gathered float64 temporaries
@@ -172,22 +176,23 @@ class LogicTable:
         for start in range(0, n, _Q_BATCH_BLOCK):
             rows = slice(start, min(start + _Q_BATCH_BLOCK, n))
             wb = w_hi[rows]
-            if not wb.any():
-                # Degenerate tau interpolation for the whole block —
-                # every lane clipped at the horizon (tau beyond the
-                # table, the pre-CPA bulk of long encounters) or sitting
-                # exactly on a stage.  The k_hi gather would be multi-
-                # plied by 0 and the k_lo one by 1, so skip both: half
-                # the gather traffic, same values out.
-                gathered = flat_q[
-                    blocks[rows, 0, :, None] + indices[rows, None, :]
-                ]
-                out[rows] = np.sum(gathered * weights[rows, None, :], axis=2)
+            # Degenerate tau interpolation for the whole block — every
+            # lane clipped at the horizon (tau beyond the table, the
+            # pre-CPA bulk of long encounters) or sitting exactly on a
+            # stage: the k_hi gather would be multiplied by 0 and the
+            # k_lo one by 1, so gather k_lo alone (same values out).
+            pair = wb.any()
+            stage_blocks = blocks[rows] if pair else blocks[rows, :1]
+            products = flat_q[stage_blocks + corner_index[:, rows]]
+            products = products * corner_weight[:, rows]
+            # Sum the 8 corners as ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)):
+            # the pairwise order np.sum uses for a contiguous length-8
+            # axis, so every bit matches the np.sum form.
+            halves = products[0::2] + products[1::2]
+            q_pair = (halves[0] + halves[1]) + (halves[2] + halves[3])
+            if not pair:
+                out[rows] = q_pair[:, 0]
                 continue
-            gathered = flat_q[
-                blocks[rows, :, :, None] + indices[rows, None, None, :]
-            ]
-            q_pair = np.sum(gathered * weights[rows, None, None, :], axis=3)
             out[rows] = (
                 (1.0 - wb)[:, None] * q_pair[:, 0]
                 + wb[:, None] * q_pair[:, 1]

@@ -67,6 +67,13 @@ class EncounterParameters:
     intruder_vertical_speed: float
 
     def __post_init__(self) -> None:
+        # NaN compares False against every bound below, so it must be
+        # rejected up front: a NaN genome would simulate to NaN
+        # separations, which count as no NMAC.
+        for name in PARAMETER_NAMES:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.own_ground_speed < 0 or self.intruder_ground_speed < 0:
             raise ValueError("ground speeds must be non-negative")
         if self.time_to_cpa <= 0:

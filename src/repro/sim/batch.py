@@ -11,13 +11,20 @@ statistical equivalence); only the random-draw order differs.
 The megabatch path (:meth:`BatchEncounterSimulator.run_many`) goes one
 step further and is structured as a backend-agnostic *kernel*:
 
+- **Side-stacked state** — positions and velocities are
+  component-major ``(3, 2, lanes)`` arrays (side 0 = own, side 1 =
+  intruder) and advisory state is ``(2, lanes)``, so each physics and
+  monitor op runs once for both aircraft on contiguous rows, and the
+  conflict geometry of both equipped sides is one array pass feeding
+  one joint logic-table lookup.
 - **Noise tapes** — each scenario's entire disturbance + sensor noise
   sequence is pre-drawn up front with one bulk ``standard_normal`` per
   scenario, in exactly the order :meth:`run` consumes it, then scaled
-  per segment.  ``Generator.normal(0.0, std, size)`` computes
-  ``0.0 + std * z`` over ``size`` sequential draws of the same ziggurat
-  stream, so the tape slices are bitwise identical to the historical
-  inline draws while eliminating the per-decision Python RNG loop
+  per segment into the side-stacked tape layout.
+  ``Generator.normal(0.0, std, size)`` computes ``0.0 + std * z`` over
+  ``size`` sequential draws of the same ziggurat stream, so the tape
+  values are bitwise identical to the historical inline draws while
+  eliminating the per-decision Python RNG loop
   (:mod:`repro.sim.batch_reference` freezes that pre-refactor loop as
   the golden equivalence/benchmark baseline).
 - **Array-namespace seam** — the decision / physics / observe phases
@@ -28,6 +35,11 @@ step further and is structured as a backend-agnostic *kernel*:
   :class:`KernelProfile` (tape-draw / decision / physics / observe /
   transfer), the observability surface ``Campaign.run(profile=True)``
   stamps into campaign metadata.
+
+Every kernel op is lane-wise and evaluates the same float expression
+as :meth:`BatchEncounterSimulator.run`, so a scenario's megabatch slice
+is bitwise identical to its per-scenario run;
+``tests/golden/kernel_digests.json`` pins those bits.
 
 Supported equipage: both aircraft ACAS XU (coordinated or not),
 own-ship only, or none — the combinations the experiments need.
@@ -57,7 +69,7 @@ _ACCELS = np.array([a.acceleration for a in ADVISORIES])
 _SENSES = np.array([a.sense.value for a in ADVISORIES])  # 0 / +1 / -1
 _ACTIVE = np.array([a.is_active for a in ADVISORIES])
 # Derived tables hoisting per-substep elementwise work out of
-# _apply_substep: inactive advisories carry a 0.0 target rate (what
+# _advance: inactive advisories carry a 0.0 target rate (what
 # nan_to_num + the activity mask used to produce lane-wise) and ramping
 # only happens where an advisory is active with positive acceleration.
 _TARGET_FILLED = np.nan_to_num(_TARGET_RATES)
@@ -167,17 +179,24 @@ class KernelProfile:
 class _NoiseTapes(NamedTuple):
     """Decision-major pre-drawn noise for one ``run_many`` invocation.
 
-    ``sense`` is four ``(D_max, total, 3)`` arrays (intruder report
-    position/velocity noise, then own report), ``vert`` is
-    ``(D_max, substeps, 2, total)`` and ``horiz`` is
-    ``(D_max, substeps, 2, total, 2)`` — side axis: own then intruder.
-    Entries are ``None`` when that stream draws nothing (equipage /
-    zero stds).  Decision ``d`` of scenario ``s`` is filled only for
-    ``d < num_decisions[s]``: a finished scenario consumes no draws,
-    matching :meth:`BatchEncounterSimulator.run`.
+    The layouts match the side-stacked kernel state, lanes last:
+
+    - ``sense`` is ``(D_max, 2, 3, 2, total)`` — (decision, position /
+      velocity, axis x/y/z, viewer, lane).  Viewer 0 is own's report of
+      the intruder, viewer 1 the intruder's report of own, so
+      ``pos[:, ::-1] + sense[d, 0]`` is what each side senses;
+    - ``vert`` is ``(D_max, substeps, 2, total)`` — (…, side, lane);
+    - ``horiz`` is ``(D_max, substeps, 2, 2, total)`` — (…, axis x/y,
+      side, lane).
+
+    Side and viewer axes run own then intruder.  Entries are ``None``
+    when that stream draws nothing (equipage / zero stds).  Decision
+    ``d`` of scenario ``s`` is filled only for ``d < num_decisions[s]``:
+    a finished scenario consumes no draws, matching
+    :meth:`BatchEncounterSimulator.run`.
     """
 
-    sense: Optional[List[np.ndarray]]
+    sense: Optional[np.ndarray]
     vert: Optional[np.ndarray]
     horiz: Optional[np.ndarray]
 
@@ -256,25 +275,23 @@ class BatchEncounterSimulator:
         own_vel,
         intr_pos,
         intr_vel,
-        xp: ArrayNamespace = NUMPY_NAMESPACE,
     ):
         """Vectorized port of AcasXuController._conflict_geometry."""
-        np_ = xp.np
         config = self.table.config
         horizon_seconds = config.horizon * config.dt
         rel_pos = intr_pos[:, :2] - own_pos[:, :2]
         rel_vel = intr_vel[:, :2] - own_vel[:, :2]
-        speed_sq = np_.einsum("ij,ij->i", rel_vel, rel_vel)
-        dot = np_.einsum("ij,ij->i", rel_pos, rel_vel)
+        speed_sq = np.einsum("ij,ij->i", rel_vel, rel_vel)
+        dot = np.einsum("ij,ij->i", rel_pos, rel_vel)
         # Masked divide: lanes with ~zero closing speed keep the 0.0
         # prefill and the division is never evaluated there, so no
         # errstate bracket is needed (same lane values as the
         # where(mask, -dot / speed_sq, 0.0) form this replaces).
-        t_star = np_.zeros_like(dot)
-        np_.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
-        tau = np_.maximum(t_star, 0.0)
+        t_star = np.zeros_like(dot)
+        np.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
+        tau = np.maximum(t_star, 0.0)
         at_cpa = rel_pos + rel_vel * tau[:, None]
-        miss = np_.hypot(at_cpa[:, 0], at_cpa[:, 1])
+        miss = np.hypot(at_cpa[:, 0], at_cpa[:, 1])
 
         converging = tau > 0.0
         within_horizon = tau <= horizon_seconds
@@ -290,19 +307,17 @@ class BatchEncounterSimulator:
         sensed_intr_vel,
         current_sra,
         forbidden_sense,
-        xp: ArrayNamespace = NUMPY_NAMESPACE,
     ):
         """New advisory indices for one side of every run."""
-        np_ = xp.np
         n = own_pos.shape[0]
         tau, in_conflict = self._conflict_geometry(
-            own_pos, own_vel, sensed_intr_pos, sensed_intr_vel, xp=xp
+            own_pos, own_vel, sensed_intr_pos, sensed_intr_vel
         )
-        new_sra = np_.zeros(n, dtype=np_.int64)  # COC by default
-        active = np_.flatnonzero(in_conflict)
+        new_sra = np.zeros(n, dtype=np.int64)  # COC by default
+        active = np.flatnonzero(in_conflict)
         if active.size == 0:
             return new_sra
-        coords = np_.stack(
+        coords = np.stack(
             [
                 sensed_intr_pos[active, 2] - own_pos[active, 2],
                 own_vel[active, 2],
@@ -310,28 +325,10 @@ class BatchEncounterSimulator:
             ],
             axis=1,
         )
-        # The logic-table lookup is a host-memory gather; on a device
-        # namespace the conflict geometry crosses to host and the q
-        # values come back — the only per-decision transfer the kernel
-        # performs.
-        if xp.is_accelerated:
-            q = xp.asarray(
-                self.table.q_values_batch(
-                    xp.to_numpy(tau[active]),
-                    xp.to_numpy(current_sra[active]),
-                    xp.to_numpy(coords),
-                )
-            )
-        else:
-            q = self.table.q_values_batch(tau[active], current_sra[active], coords)
+        q = self.table.q_values_batch(tau[active], current_sra[active], coords)
         if forbidden_sense is not None:
-            locked = forbidden_sense[active]
-            for a_idx in range(NUM_ADVISORIES):
-                if not _ACTIVE[a_idx]:
-                    continue
-                conflict_mask = (locked != 0) & (_SENSES[a_idx] == locked)
-                q[conflict_mask, a_idx] = -np_.inf
-        new_sra[active] = np_.argmax(q, axis=1)
+            self._mask_forbidden(q, forbidden_sense[active], np)
+        new_sra[active] = np.argmax(q, axis=1)
         return new_sra
 
     @staticmethod
@@ -343,79 +340,91 @@ class BatchEncounterSimulator:
             conflict_mask = (locked != 0) & (_SENSES[a_idx] == locked)
             q[conflict_mask, a_idx] = -np_.inf
 
-    def _decide_pair(
+    def _decide_stacked(
         self,
-        own_pos,
-        own_vel,
-        intr_pos,
-        intr_vel,
+        pos,
+        vel,
         sense_noise,
-        own_sra,
-        intr_sra,
+        sra,
         tables: _AdvisoryTables,
         xp: ArrayNamespace = NUMPY_NAMESPACE,
     ):
-        """Both sides' new advisories from one joint table lookup.
+        """New advisories of every equipped side from one joint lookup.
 
-        The only coupling between the two decisions is the coordination
-        lock, which masks q values *after* the lookup — so the own and
-        intruder conflict rows can share a single
-        :meth:`LogicTable.q_values_batch` call (row-wise, so each row's
-        values match the two separate calls) and own's fresh sense
-        still locks the intruder's choice.  Used by :meth:`run_many`
-        when both aircraft are equipped; one call amortizes the
-        per-lookup interpolation setup across both sides.
+        *pos* / *vel* are side-stacked ``(3, 2, lanes)`` views, *sra* is
+        ``(2, lanes)`` and *sense_noise* is ``(pos/vel, 3, sides,
+        lanes)`` where ``sides`` is 2 when both aircraft are equipped
+        and 1 when only own is.  Side ``j`` senses the other aircraft
+        (``pos[:, ::-1]``), so the conflict geometry runs once for all
+        equipped sides.  ``flatnonzero`` over the ``(sides, lanes)``
+        conflict mask lists own rows before intruder rows, and the rows
+        share one :meth:`LogicTable.q_values_batch` call (row-wise, so
+        each row's values match separate per-side calls).  The only
+        coupling is the coordination lock, applied to the q values after
+        the lookup: own decides first, seeing the intruder's previous
+        lock, and own's fresh sense then locks the intruder.  Returns
+        the ``(sides, lanes)`` advisory indices.
         """
         np_ = xp.np
-        n = own_pos.shape[0]
-        sensed_ip = intr_pos + sense_noise[0]
-        sensed_iv = intr_vel + sense_noise[1]
-        sensed_op = own_pos + sense_noise[2]
-        sensed_ov = own_vel + sense_noise[3]
-        tau_own, conflict_own = self._conflict_geometry(
-            own_pos, own_vel, sensed_ip, sensed_iv, xp=xp
-        )
-        tau_intr, conflict_intr = self._conflict_geometry(
-            intr_pos, intr_vel, sensed_op, sensed_ov, xp=xp
-        )
-        new_own = np_.zeros(n, dtype=np_.int64)
-        new_intr = np_.zeros(n, dtype=np_.int64)
-        active_own = np_.flatnonzero(conflict_own)
-        active_intr = np_.flatnonzero(conflict_intr)
-        split = active_own.size
-        if split + active_intr.size == 0:
-            return new_own, new_intr
+        sides = sense_noise.shape[2]
+        lanes = pos.shape[2]
+        own_pos, own_vel = pos[:, :sides], vel[:, :sides]
+        sensed_pos = pos[:, ::-1][:, :sides] + sense_noise[0]
+        sensed_vel = vel[:, ::-1][:, :sides] + sense_noise[1]
 
-        coords = np_.empty((split + active_intr.size, 3))
-        coords[:split, 0] = sensed_ip[active_own, 2] - own_pos[active_own, 2]
-        coords[:split, 1] = own_vel[active_own, 2]
-        coords[:split, 2] = sensed_iv[active_own, 2]
-        coords[split:, 0] = sensed_op[active_intr, 2] - intr_pos[active_intr, 2]
-        coords[split:, 1] = intr_vel[active_intr, 2]
-        coords[split:, 2] = sensed_ov[active_intr, 2]
-        tau = np_.concatenate([tau_own[active_own], tau_intr[active_intr]])
-        current = np_.concatenate(
-            [own_sra[active_own], intr_sra[active_intr]]
+        config = self.table.config
+        rel_pos = sensed_pos[:2] - own_pos[:2]
+        rel_vel = sensed_vel[:2] - own_vel[:2]
+        speed_sq = rel_vel[0] * rel_vel[0] + rel_vel[1] * rel_vel[1]
+        dot = rel_pos[0] * rel_vel[0] + rel_pos[1] * rel_vel[1]
+        # Masked divide, as in _conflict_geometry: ~zero closing speed
+        # keeps the 0.0 prefill.
+        t_star = np_.zeros_like(dot)
+        np_.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
+        tau = np_.maximum(t_star, 0.0)
+        at_cpa = rel_pos + rel_vel * tau
+        miss = np_.hypot(at_cpa[0], at_cpa[1])
+        in_conflict = (
+            (tau > 0.0)
+            & (tau <= config.horizon * config.dt)
+            & (miss <= config.conflict_horizontal_radius)
         )
+
+        new_sra = np_.zeros((sides, lanes), dtype=np_.int64)  # COC
+        active = np_.flatnonzero(in_conflict)
+        if active.size == 0:
+            return new_sra
+        side, lane = np_.divmod(active, lanes)
+        coords = np_.empty((active.size, 3))
+        coords[:, 0] = sensed_pos[2].reshape(-1)[active] - own_pos[2][side, lane]
+        coords[:, 1] = own_vel[2][side, lane]
+        coords[:, 2] = sensed_vel[2].reshape(-1)[active]
+        tau_rows = tau.reshape(-1)[active]
+        current = sra[side, lane]
+        # The logic-table lookup is a host-memory gather; on a device
+        # namespace the conflict rows cross to host and the q values
+        # come back — the only per-decision transfer of the kernel.
         if xp.is_accelerated:
             q = xp.asarray(
                 self.table.q_values_batch(
-                    xp.to_numpy(tau), xp.to_numpy(current), xp.to_numpy(coords)
+                    xp.to_numpy(tau_rows), xp.to_numpy(current),
+                    xp.to_numpy(coords),
                 )
             )
         else:
-            q = self.table.q_values_batch(tau, current, coords)
+            q = self.table.q_values_batch(tau_rows, current, coords)
 
+        if not (self.coordination and sides == 2):
+            new_sra[side, lane] = np_.argmax(q, axis=1)
+            return new_sra
+        split = int(np_.count_nonzero(in_conflict[0]))
+        own_lanes, intr_lanes = lane[:split], lane[split:]
         q_own, q_intr = q[:split], q[split:]
-        if self.coordination:
-            # Own decides first, seeing the intruder's previous lock.
-            self._mask_forbidden(q_own, tables.senses[intr_sra[active_own]], np_)
-        new_own[active_own] = np_.argmax(q_own, axis=1)
-        if self.coordination:
-            locked = tables.senses[new_own[active_intr]]
-            self._mask_forbidden(q_intr, locked, np_)
-        new_intr[active_intr] = np_.argmax(q_intr, axis=1)
-        return new_own, new_intr
+        self._mask_forbidden(q_own, tables.senses[sra[1, own_lanes]], np_)
+        new_sra[0, own_lanes] = np_.argmax(q_own, axis=1)
+        self._mask_forbidden(q_intr, tables.senses[new_sra[0, intr_lanes]], np_)
+        new_sra[1, intr_lanes] = np_.argmax(q_intr, axis=1)
+        return new_sra
 
     # ------------------------------------------------------------------
     # Physics
@@ -425,12 +434,9 @@ class BatchEncounterSimulator:
     ):
         """Disturbance draws for one physics substep of one side.
 
-        Kept separate from :meth:`_apply_substep` so the megabatch path
-        can draw each scenario's noise from its own generator (making
-        results independent of how scenarios are chunked together)
-        while still applying the physics across all lanes at once.  The
-        draw order (vertical, then horizontal) is the contract both
-        paths share.
+        The draw order (vertical, then horizontal) is the stream
+        contract :meth:`_draw_noise_tapes` replays for the megabatch
+        path.
         """
         noise_std = self.config.disturbance.vertical_rate_std
         vertical = (
@@ -443,44 +449,50 @@ class BatchEncounterSimulator:
         )
         return vertical, horizontal
 
-    def _apply_substep(
-        self,
-        pos,
-        vel,
-        sra,
-        dt: float,
-        vertical_noise,
-        horizontal_noise,
-        xp: ArrayNamespace = NUMPY_NAMESPACE,
-        tables: _AdvisoryTables = _HOST_TABLES,
-        gathered=None,
+    @staticmethod
+    def _gather_advisory(sra, dt: float, tables: _AdvisoryTables = _HOST_TABLES):
+        """Per-lane advisory physics terms, gathered once per decision.
+
+        The returned ``(target, accel, max_change, ramp_mask)`` tuple is
+        constant while *sra* is — i.e. for every substep of a decision —
+        so :meth:`run_many` amortizes the fancy-index gathers across
+        substeps (same values, so same bits).
+        """
+        accel = tables.accels[sra]
+        return (
+            tables.target_filled[sra],
+            accel,
+            accel * dt,
+            tables.ramp_mask[sra],
+        )
+
+    @staticmethod
+    def _advance(
+        pos, vel, gathered, dt: float, vertical_noise, horizontal_noise,
+        np_=np,
     ) -> None:
-        """One physics substep for one side of every lane, in place.
+        """One physics substep, in place, on component-major arrays.
 
         Replicates :func:`repro.dynamics.aircraft.step_aircraft`:
         advisory ramp (exact trapezoid) then Brownian rate disturbance.
-        Every operation is lane-wise, so the result for one lane does
-        not depend on which other lanes share the arrays.
-
-        ``gathered``, when given, is ``(target, accel, max_change,
-        ramp_mask)`` pre-gathered for this *sra* and *dt* — the advisory
-        is fixed for a whole decision, so the megabatch loop gathers
-        once per decision instead of once per substep.
+        *pos* and *vel* are ``(3, ...)``: :meth:`run_many` passes its
+        side-stacked ``(3, 2, lanes)`` state, so every operation runs
+        once for both aircraft on contiguous rows, and :meth:`run`
+        passes the transposed ``(3, runs)`` view of one aircraft.
+        *gathered* is :meth:`_gather_advisory` of the matching advisory
+        array; the noises match ``pos[2]`` (vertical) and ``pos[:2]``
+        (horizontal), or are ``None``.  Every operation is lane-wise, so
+        the result for one lane does not depend on which other lanes
+        share the arrays.
         """
-        np_ = xp.np
-        vz = vel[:, 2]
         # Inactive advisories gather a 0.0 target and 0.0 acceleration,
         # so their ramp clips to (signed) zero, t_ramp masks to zero and
-        # the commanded displacement collapses to the free-flight vz*dt
-        # — lane-for-lane the same values the explicit activity selects
-        # used to produce, without the per-substep where/nan_to_num.
-        if gathered is None:
-            gathered = self._gather_advisory(sra, dt, tables)
-        target, accel, max_change, ramp_mask = gathered
-
+        # the commanded displacement collapses to the free-flight vz*dt.
         # In-place arithmetic below reuses temporaries; each rewrite is
         # the same float operation in the same order as the plain
         # expression it replaces, so every output bit is unchanged.
+        vz = vel[2]
+        target, accel, max_change, ramp_mask = gathered
         ramp = target - vz
         np_.clip(ramp, -max_change, max_change, out=ramp)
         # Masked divide: non-ramping lanes (accel == 0) keep the 0.0
@@ -495,43 +507,26 @@ class BatchEncounterSimulator:
         np_.subtract(dt, t_ramp, out=t_ramp)
         t_ramp *= vz_capture
         lift += t_ramp
-        pos[:, 2] += lift
-        vel[:, 2] = vz_capture  # equals vz where inactive (ramp == 0)
+        pos[2] += lift
+        vel[2] = vz_capture  # equals vz where inactive (ramp == 0)
 
         if vertical_noise is not None:
             bump = 0.5 * vertical_noise
             bump *= dt
             bump *= dt
-            pos[:, 2] += bump
-            vel[:, 2] += vertical_noise * dt
+            pos[2] += bump
+            vel[2] += vertical_noise * dt
 
         if horizontal_noise is not None:
-            drift = vel[:, :2] * dt
+            drift = vel[:2] * dt
             kick = 0.5 * horizontal_noise
             kick *= dt
             kick *= dt
             drift += kick
-            pos[:, :2] += drift
-            vel[:, :2] += horizontal_noise * dt
+            pos[:2] += drift
+            vel[:2] += horizontal_noise * dt
         else:
-            pos[:, :2] += vel[:, :2] * dt
-
-    @staticmethod
-    def _gather_advisory(sra, dt: float, tables: _AdvisoryTables = _HOST_TABLES):
-        """Per-lane advisory physics terms, gathered once per decision.
-
-        The returned ``(target, accel, max_change, ramp_mask)`` tuple is
-        constant while *sra* is — i.e. for every substep of a decision —
-        so :meth:`_apply_substep` callers can amortize the fancy-index
-        gathers across substeps (same values, so same bits).
-        """
-        accel = tables.accels[sra]
-        return (
-            tables.target_filled[sra],
-            accel,
-            accel * dt,
-            tables.ramp_mask[sra],
-        )
+            pos[:2] += vel[:2] * dt
 
     def _integrate_substep(
         self,
@@ -543,56 +538,34 @@ class BatchEncounterSimulator:
     ) -> None:
         """Draw one substep's disturbance and apply it, in place."""
         vertical, horizontal = self._draw_substep_noise(pos.shape[0], dt, rng)
-        self._apply_substep(pos, vel, sra, dt, vertical, horizontal)
-
-    def _draw_sense_noise_into(
-        self,
-        pos_out: np.ndarray,
-        vel_out: np.ndarray,
-        rows,
-        n: int,
-        rng: np.random.Generator,
-    ) -> None:
-        """ADS-B noise draws for one received report, written to *rows*.
-
-        The axis-by-axis draw order (position x, y, z then velocity x,
-        y, z) is the stream contract shared by the per-scenario and
-        megabatch paths (and replayed segment-for-segment by
-        :meth:`_draw_noise_tapes`).
-        """
-        sensor = self.config.sensor
-        pos_out[rows, 0] = rng.normal(
-            0.0, sensor.horizontal_position_std, size=n
+        self._advance(
+            pos.T, vel.T, self._gather_advisory(sra, dt), dt, vertical,
+            None if horizontal is None else horizontal.T,
         )
-        pos_out[rows, 1] = rng.normal(
-            0.0, sensor.horizontal_position_std, size=n
-        )
-        pos_out[rows, 2] = rng.normal(
-            0.0, sensor.vertical_position_std, size=n
-        )
-        vel_out[rows, 0] = rng.normal(
-            0.0, sensor.horizontal_velocity_std, size=n
-        )
-        vel_out[rows, 1] = rng.normal(
-            0.0, sensor.horizontal_velocity_std, size=n
-        )
-        vel_out[rows, 2] = rng.normal(
-            0.0, sensor.vertical_velocity_std, size=n
-        )
-
-    def _draw_sense_noise(self, n: int, rng: np.random.Generator):
-        """ADS-B noise draws for one received (pos, vel) report."""
-        pos_noise = np.empty((n, 3))
-        vel_noise = np.empty((n, 3))
-        self._draw_sense_noise_into(pos_noise, vel_noise, slice(None), n, rng)
-        return pos_noise, vel_noise
 
     def _sense(
         self, pos: np.ndarray, vel: np.ndarray, rng: np.random.Generator
     ):
-        """Noisy received copies of (pos, vel)."""
-        pos_noise, vel_noise = self._draw_sense_noise(pos.shape[0], rng)
-        return pos + pos_noise, vel + vel_noise
+        """Noisy received copies of (pos, vel).
+
+        The axis-by-axis draw order (position x, y, z then velocity x,
+        y, z) is the stream contract :meth:`_draw_noise_tapes` replays
+        for the megabatch path.
+        """
+        sensor = self.config.sensor
+        n = pos.shape[0]
+        stds = (
+            sensor.horizontal_position_std,
+            sensor.horizontal_position_std,
+            sensor.vertical_position_std,
+            sensor.horizontal_velocity_std,
+            sensor.horizontal_velocity_std,
+            sensor.vertical_velocity_std,
+        )
+        noise = np.empty((n, 6))
+        for axis, std in enumerate(stds):
+            noise[:, axis] = rng.normal(0.0, std, size=n)
+        return pos + noise[:, :3], vel + noise[:, 3:]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -737,58 +710,62 @@ class BatchEncounterSimulator:
 
         d_max = int(num_decisions.max())
         sense_tape = (
-            [np.empty((d_max, total, 3)) for _ in range(4)]
-            if sensing else None
+            np.empty((d_max, 2, 3, 2, total)) if sensing else None
         )
         vert_tape = (
             np.empty((d_max, substeps, 2, total)) if has_vert else None
         )
         horiz_tape = (
-            np.empty((d_max, substeps, 2, total, 2)) if has_horiz else None
+            np.empty((d_max, substeps, 2, 2, total)) if has_horiz else None
         )
         sensor = config.sensor
-        # Per-axis report scales: position then velocity, x/y/z.
-        pos_scales = np.array([
-            sensor.horizontal_position_std,
-            sensor.horizontal_position_std,
-            sensor.vertical_position_std,
-        ])
-        vel_scales = np.array([
-            sensor.horizontal_velocity_std,
-            sensor.horizontal_velocity_std,
-            sensor.vertical_velocity_std,
-        ])
+        # Report scales by (position / velocity, axis x/y/z), broadcast
+        # over (decision, ., ., viewer, lane).
+        sense_scales = np.array([
+            [sensor.horizontal_position_std,
+             sensor.horizontal_position_std,
+             sensor.vertical_position_std],
+            [sensor.horizontal_velocity_std,
+             sensor.horizontal_velocity_std,
+             sensor.vertical_velocity_std],
+        ])[None, :, :, None, None]
         vert_scale = noise_std / np.sqrt(sub_dt) if has_vert else 0.0
 
+        # Each segment is scaled straight into its tape slot:
+        # ``np.multiply(z, std, out=...)`` is the same float64 multiply
+        # as ``std * z``, so every tape bit matches the inline draws;
+        # only the copy layout differs from the draw order.
         for s, rng in enumerate(rngs):
             d_s = int(num_decisions[s])
             rows = slice(s * n, (s + 1) * n)
             z = rng.standard_normal(d_s * stride).reshape(d_s, stride)
             if sensing:
-                # (decision, report, axis, lane); reports in draw order:
-                # intruder pos, intruder vel, own pos, own vel.  Scaling
-                # happens in place on the raw draws (z is scratch):
-                # ``std * z`` is the same float64 multiply either way,
-                # so every tape bit matches the allocating form.
-                reports = z[:, :sense_len].reshape(d_s, 4, 3, n)
-                reports[:, 0::2] *= pos_scales[None, None, :, None]
-                reports[:, 1::2] *= vel_scales[None, None, :, None]
-                for r in range(4):
-                    sense_tape[r][:d_s, rows, :] = reports[:, r].transpose(
-                        0, 2, 1
-                    )
+                # Draw order (decision, viewer, pos/vel, axis, lane):
+                # own's report of the intruder first, then the
+                # intruder's report of own.
+                reports = z[:, :sense_len].reshape(d_s, 2, 2, 3, n)
+                np.multiply(
+                    reports.transpose(0, 2, 3, 1, 4), sense_scales,
+                    out=sense_tape[:d_s, ..., rows],
+                )
             if has_vert or has_horiz:
                 sub = z[:, sense_len:].reshape(
                     d_s, substeps, 2, vert_len + horiz_len
                 )
                 if has_vert:
-                    sub[..., :vert_len] *= vert_scale
-                    vert_tape[:d_s, :, :, rows] = sub[..., :vert_len]
+                    np.multiply(
+                        sub[..., :vert_len], vert_scale,
+                        out=vert_tape[:d_s, ..., rows],
+                    )
                 if has_horiz:
-                    sub[..., vert_len:] *= h_std
-                    horiz_tape[:d_s, :, :, rows, :] = sub[
-                        ..., vert_len:
-                    ].reshape(d_s, substeps, 2, n, 2)
+                    # Draw order (decision, substep, side, lane, axis).
+                    horiz = sub[..., vert_len:].reshape(
+                        d_s, substeps, 2, n, 2
+                    )
+                    np.multiply(
+                        horiz.transpose(0, 1, 4, 2, 3), h_std,
+                        out=horiz_tape[:d_s, ..., rows],
+                    )
         return _NoiseTapes(sense_tape, vert_tape, horiz_tape)
 
     def run_many(
@@ -869,17 +846,17 @@ class BatchEncounterSimulator:
         order = np.argsort(-num_decisions, kind="stable")
         slot_decisions = num_decisions[order]
 
-        own_pos = np.empty((total, 3))
-        own_vel = np.empty((total, 3))
-        intr_pos = np.empty((total, 3))
-        intr_vel = np.empty((total, 3))
+        # Side-stacked, component-major state: pos[c, j, lane] is
+        # component c of side j (0 = own, 1 = intruder), so each
+        # (component, side) row is contiguous over the lanes.
+        starts = np.empty((2, 3, 2, num_scenarios))
         for slot, s in enumerate(order):
             own0, intr0 = decode_encounter(params_list[s])
-            rows = slice(slot * n, (slot + 1) * n)
-            own_pos[rows] = own0.position
-            own_vel[rows] = own0.velocity
-            intr_pos[rows] = intr0.position
-            intr_vel[rows] = intr0.velocity
+            starts[0, :, 0, slot] = own0.position
+            starts[0, :, 1, slot] = intr0.position
+            starts[1, :, 0, slot] = own0.velocity
+            starts[1, :, 1, slot] = intr0.velocity
+        pos, vel = np.repeat(starts, n, axis=3)
 
         profiling = profile is not None
         t_tape = t_decision = t_physics = t_observe = t_transfer = 0.0
@@ -893,8 +870,8 @@ class BatchEncounterSimulator:
 
         sub_dt = config.decision_dt / config.physics_substeps
         substeps = config.physics_substeps
-        own_equipped = self.equipage in ("both", "own-only")
-        intr_equipped = self.equipage == "both"
+        # How many sides decide: own first, then the intruder.
+        equipped = {"both": 2, "own-only": 1, "none": 0}[self.equipage]
 
         t0 = mark()
         tapes = self._draw_noise_tapes(
@@ -906,28 +883,23 @@ class BatchEncounterSimulator:
         tables = advisory_tables(namespace)
         if namespace.is_accelerated:
             t0 = mark()
-            own_pos = namespace.asarray(own_pos)
-            own_vel = namespace.asarray(own_vel)
-            intr_pos = namespace.asarray(intr_pos)
-            intr_vel = namespace.asarray(intr_vel)
+            pos = namespace.asarray(pos)
+            vel = namespace.asarray(vel)
             t_transfer += mark() - t0
 
-        own_sra = np_.zeros(total, dtype=np_.int64)
-        intr_sra = np_.zeros(total, dtype=np_.int64)
-        own_alerted = np_.zeros(total, dtype=bool)
-        intr_alerted = np_.zeros(total, dtype=bool)
+        sra = np_.zeros((2, total), dtype=np_.int64)
+        alerted = np_.zeros((2, total), dtype=bool)
         min_sep = np_.full(total, np_.inf)
         min_horiz = np_.full(total, np_.inf)
         nmac = np_.zeros(total, dtype=bool)
 
-        def observe_into(own_p, intr_p, sep_acc, horiz_acc, nmac_acc) -> None:
-            # The accumulators are contiguous active-lane views/copies
-            # gathered once per decision, so each substep's monitor
-            # update is pure in-place arithmetic — no per-call
-            # gather + scatter on the full lane arrays.
-            delta = own_p - intr_p
-            horizontal = np_.hypot(delta[:, 0], delta[:, 1])
-            vertical = np_.abs(delta[:, 2])
+        def observe_into(p, sep_acc, horiz_acc, nmac_acc) -> None:
+            # The accumulators are contiguous active-lane views gathered
+            # once per decision, so each substep's monitor update is
+            # pure in-place arithmetic.
+            delta = p[:, 0] - p[:, 1]
+            horizontal = np_.hypot(delta[0], delta[1])
+            vertical = np_.abs(delta[2])
             separation = np_.hypot(horizontal, vertical)
             np_.minimum(sep_acc, separation, out=sep_acc)
             np_.minimum(horiz_acc, horizontal, out=horiz_acc)
@@ -936,7 +908,7 @@ class BatchEncounterSimulator:
             )
 
         t0 = mark()
-        observe_into(own_pos, intr_pos, min_sep, min_horiz, nmac)
+        observe_into(pos, min_sep, min_horiz, nmac)
         t_observe += mark() - t0
 
         # slot_decisions is descending, so the number of still-active
@@ -950,54 +922,41 @@ class BatchEncounterSimulator:
             # prefix makes every slice below a plain view.
             t0 = mark()
             sense_noise = (
-                [tape[decision][lanes] for tape in tapes.sense]
-                if tapes.sense is not None else None
+                tapes.sense[decision][..., :equipped, lanes]
+                if equipped else None
             )
             vert_noise = (
-                tapes.vert[decision][:, :, lanes]
+                tapes.vert[decision][..., lanes]
                 if tapes.vert is not None else None
             )
             horiz_noise = (
-                tapes.horiz[decision][:, :, lanes, :]
+                tapes.horiz[decision][..., lanes]
                 if tapes.horiz is not None else None
             )
             t_tape += mark() - t0
 
             if namespace.is_accelerated:
                 t0 = mark()
-                if sense_noise is not None:
-                    sense_noise = [namespace.asarray(a) for a in sense_noise]
-                if vert_noise is not None:
-                    vert_noise = namespace.asarray(np.ascontiguousarray(vert_noise))
-                if horiz_noise is not None:
-                    horiz_noise = namespace.asarray(np.ascontiguousarray(horiz_noise))
+                sense_noise, vert_noise, horiz_noise = (
+                    None if a is None
+                    else namespace.asarray(np.ascontiguousarray(a))
+                    for a in (sense_noise, vert_noise, horiz_noise)
+                )
                 t_transfer += mark() - t0
 
             # The active lanes are a contiguous prefix, so these are
             # views: every in-place update below lands directly in the
-            # full lane arrays with no scatter-back.
-            t0 = mark()
-            op, ov = own_pos[lanes], own_vel[lanes]
-            ip, iv = intr_pos[lanes], intr_vel[lanes]
-            osra, isra = own_sra[lanes], intr_sra[lanes]
-
-            if own_equipped and intr_equipped:
-                # Joint lookup: both sides' conflict rows share one
-                # q_values_batch call (own still decides first — its
-                # fresh sense locks the intruder inside _decide_pair).
-                osra, isra = self._decide_pair(
-                    op, ov, ip, iv, sense_noise, osra, isra,
-                    tables, xp=namespace,
+            # full state arrays with no scatter-back.
+            p, v = pos[..., lanes], vel[..., lanes]
+            lane_sra = sra[:, lanes]
+            if equipped:
+                t0 = mark()
+                decided = self._decide_stacked(
+                    p, v, sense_noise, lane_sra, tables, xp=namespace
                 )
-                own_alerted[lanes] |= tables.active[osra]
-                intr_alerted[lanes] |= tables.active[isra]
-            elif own_equipped:
-                osra = self._decide_side(
-                    op, ov, ip + sense_noise[0], iv + sense_noise[1],
-                    osra, None, xp=namespace,
-                )
-                own_alerted[lanes] |= tables.active[osra]
-            t_decision += mark() - t0
+                lane_sra[:equipped] = decided
+                alerted[:equipped, lanes] |= tables.active[decided]
+                t_decision += mark() - t0
 
             # Monitor accumulators, gathered once per decision.
             sep_acc, horiz_acc = min_sep[lanes], min_horiz[lanes]
@@ -1005,38 +964,26 @@ class BatchEncounterSimulator:
 
             # Advisories are fixed for the whole decision: gather their
             # physics terms once and reuse across every substep.
-            own_terms = self._gather_advisory(osra, sub_dt, tables)
-            intr_terms = self._gather_advisory(isra, sub_dt, tables)
+            terms = self._gather_advisory(lane_sra, sub_dt, tables)
             for k in range(substeps):
                 t0 = mark()
-                self._apply_substep(
-                    op, ov, osra, sub_dt,
-                    vert_noise[k, 0] if vert_noise is not None else None,
-                    horiz_noise[k, 0] if horiz_noise is not None else None,
-                    xp=namespace, tables=tables, gathered=own_terms,
-                )
-                self._apply_substep(
-                    ip, iv, isra, sub_dt,
-                    vert_noise[k, 1] if vert_noise is not None else None,
-                    horiz_noise[k, 1] if horiz_noise is not None else None,
-                    xp=namespace, tables=tables, gathered=intr_terms,
+                self._advance(
+                    p, v, terms, sub_dt,
+                    vert_noise[k] if vert_noise is not None else None,
+                    horiz_noise[k] if horiz_noise is not None else None,
+                    np_,
                 )
                 t_physics += mark() - t0
                 t0 = mark()
-                observe_into(op, ip, sep_acc, horiz_acc, nmac_acc)
+                observe_into(p, sep_acc, horiz_acc, nmac_acc)
                 t_observe += mark() - t0
-
-            # _decide_side returns fresh advisory arrays; everything
-            # else above was updated in place through the views.
-            own_sra[lanes], intr_sra[lanes] = osra, isra
 
         if namespace.is_accelerated:
             t0 = mark()
             min_sep = namespace.to_numpy(min_sep)
             min_horiz = namespace.to_numpy(min_horiz)
             nmac = namespace.to_numpy(nmac)
-            own_alerted = namespace.to_numpy(own_alerted)
-            intr_alerted = namespace.to_numpy(intr_alerted)
+            alerted = namespace.to_numpy(alerted)
             t_transfer += mark() - t0
 
         if profiling:
@@ -1061,8 +1008,8 @@ class BatchEncounterSimulator:
                 min_separation=min_sep[rows].copy(),
                 min_horizontal=min_horiz[rows].copy(),
                 nmac=nmac[rows].copy(),
-                own_alerted=own_alerted[rows].copy(),
-                intruder_alerted=intr_alerted[rows].copy(),
+                own_alerted=alerted[0, rows].copy(),
+                intruder_alerted=alerted[1, rows].copy(),
             )
 
         return [result_for(s) for s in range(num_scenarios)]

@@ -60,6 +60,14 @@ class TestParameters:
         with pytest.raises(ValueError):
             make_params(cpa_horizontal_distance=-5.0)
 
+    @pytest.mark.parametrize("name", PARAMETER_NAMES)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_from_array_rejects_non_finite(self, name, value):
+        genome = make_params().as_array()
+        genome[PARAMETER_NAMES.index(name)] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EncounterParameters.from_array(genome)
+
 
 class TestDecode:
     def test_own_state_fixed(self):

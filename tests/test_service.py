@@ -213,6 +213,19 @@ class TestErrorPaths:
             assert response.status == 400, bad
             assert "error" in response.json()
 
+    def test_non_finite_genome_is_400_and_stores_nothing(
+        self, client, store
+    ):
+        genome = [30.0, 0.0, 30.0, 50.0, 1.0, -10.0, 25.0, 2.5, 1.5]
+        genome[0] = float("nan")
+        # json.dumps writes the NaN literal, which json.loads accepts.
+        response = client.post(
+            "/campaigns", json_body={**UNEQUIPPED, "scenarios": [genome]}
+        )
+        assert response.status == 400
+        assert "own_ground_speed must be finite" in response.json()["error"]
+        assert store.campaigns() == []
+
     def test_malformed_body_is_400(self, client):
         assert client.post("/campaigns", body=b"{not json").status == 400
         assert client.post("/campaigns").status == 400  # empty body
