@@ -170,9 +170,9 @@ class LogicTable:
         corner_weight = np.ascontiguousarray(weights.T)[:, :, None, None]
         n = tau.shape[0]
         out = np.empty((n, NUM_ADVISORIES))
-        # Evaluate in row blocks so the gathered float64 temporaries
-        # stay cache-sized at megabatch widths; every op is row-wise,
-        # so blocking cannot change any output bit.
+        # Evaluate in row blocks so the gathered temporaries stay
+        # bounded at megabatch widths; every op is row-wise, so
+        # blocking cannot change any output bit.
         for start in range(0, n, _Q_BATCH_BLOCK):
             rows = slice(start, min(start + _Q_BATCH_BLOCK, n))
             wb = w_hi[rows]
