@@ -269,34 +269,33 @@ class BatchEncounterSimulator:
     # ------------------------------------------------------------------
     # Decision helpers
     # ------------------------------------------------------------------
-    def _conflict_geometry(
-        self,
-        own_pos,
-        own_vel,
-        intr_pos,
-        intr_vel,
-    ):
-        """Vectorized port of AcasXuController._conflict_geometry."""
+    def _conflict_geometry(self, own_pos, own_vel, other_pos, other_vel, np_=np):
+        """Vectorized port of AcasXuController._conflict_geometry.
+
+        Component-major, like :meth:`_advance`: the arrays are ``(3,
+        ...)`` — :meth:`_decide_stacked` passes its ``(3, sides, lanes)``
+        side-stacked views and :meth:`_decide_side` the transposed
+        ``(3, runs)`` views of one side — and ``tau`` / ``in_conflict``
+        have the trailing shape.  Every operation is lane-wise.
+        """
         config = self.table.config
-        horizon_seconds = config.horizon * config.dt
-        rel_pos = intr_pos[:, :2] - own_pos[:, :2]
-        rel_vel = intr_vel[:, :2] - own_vel[:, :2]
-        speed_sq = np.einsum("ij,ij->i", rel_vel, rel_vel)
-        dot = np.einsum("ij,ij->i", rel_pos, rel_vel)
+        rel_pos = other_pos[:2] - own_pos[:2]
+        rel_vel = other_vel[:2] - own_vel[:2]
+        speed_sq = rel_vel[0] * rel_vel[0] + rel_vel[1] * rel_vel[1]
+        dot = rel_pos[0] * rel_vel[0] + rel_pos[1] * rel_vel[1]
         # Masked divide: lanes with ~zero closing speed keep the 0.0
         # prefill and the division is never evaluated there, so no
-        # errstate bracket is needed (same lane values as the
-        # where(mask, -dot / speed_sq, 0.0) form this replaces).
-        t_star = np.zeros_like(dot)
-        np.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
-        tau = np.maximum(t_star, 0.0)
-        at_cpa = rel_pos + rel_vel * tau[:, None]
-        miss = np.hypot(at_cpa[:, 0], at_cpa[:, 1])
-
-        converging = tau > 0.0
-        within_horizon = tau <= horizon_seconds
-        near_miss = miss <= config.conflict_horizontal_radius
-        in_conflict = converging & within_horizon & near_miss
+        # errstate bracket is needed.
+        t_star = np_.zeros_like(dot)
+        np_.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
+        tau = np_.maximum(t_star, 0.0)
+        at_cpa = rel_pos + rel_vel * tau
+        miss = np_.hypot(at_cpa[0], at_cpa[1])
+        in_conflict = (
+            (tau > 0.0)
+            & (tau <= config.horizon * config.dt)
+            & (miss <= config.conflict_horizontal_radius)
+        )
         return tau, in_conflict
 
     def _decide_side(
@@ -311,7 +310,7 @@ class BatchEncounterSimulator:
         """New advisory indices for one side of every run."""
         n = own_pos.shape[0]
         tau, in_conflict = self._conflict_geometry(
-            own_pos, own_vel, sensed_intr_pos, sensed_intr_vel
+            own_pos.T, own_vel.T, sensed_intr_pos.T, sensed_intr_vel.T
         )
         new_sra = np.zeros(n, dtype=np.int64)  # COC by default
         active = np.flatnonzero(in_conflict)
@@ -372,22 +371,8 @@ class BatchEncounterSimulator:
         sensed_pos = pos[:, ::-1][:, :sides] + sense_noise[0]
         sensed_vel = vel[:, ::-1][:, :sides] + sense_noise[1]
 
-        config = self.table.config
-        rel_pos = sensed_pos[:2] - own_pos[:2]
-        rel_vel = sensed_vel[:2] - own_vel[:2]
-        speed_sq = rel_vel[0] * rel_vel[0] + rel_vel[1] * rel_vel[1]
-        dot = rel_pos[0] * rel_vel[0] + rel_pos[1] * rel_vel[1]
-        # Masked divide, as in _conflict_geometry: ~zero closing speed
-        # keeps the 0.0 prefill.
-        t_star = np_.zeros_like(dot)
-        np_.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
-        tau = np_.maximum(t_star, 0.0)
-        at_cpa = rel_pos + rel_vel * tau
-        miss = np_.hypot(at_cpa[0], at_cpa[1])
-        in_conflict = (
-            (tau > 0.0)
-            & (tau <= config.horizon * config.dt)
-            & (miss <= config.conflict_horizontal_radius)
+        tau, in_conflict = self._conflict_geometry(
+            own_pos, own_vel, sensed_pos, sensed_vel, np_
         )
 
         new_sra = np_.zeros((sides, lanes), dtype=np_.int64)  # COC

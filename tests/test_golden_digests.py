@@ -42,7 +42,10 @@ EQUIPAGES: Tuple[Tuple[str, bool], ...] = (
 )
 SUBSTEPS = (1, 5)
 SEEDS = (1, 2)
-RUNS_PER_SCENARIO = 3
+#: Enough runs that every coordinated digest differs from its
+#: uncoordinated twin: at 3 runs, 3 of the 4 pairs coincided, so the
+#: corpus barely pinned the coordination lock.
+RUNS_PER_SCENARIO = 10
 SAMPLED_SCENARIOS = 20
 SAMPLE_SEED = 2024
 
@@ -122,6 +125,20 @@ def test_corpus_describes_this_module(corpus):
     assert sorted(corpus["digests"]) == sorted(
         corpus_key(*combo) for combo in CORPUS_KEYS
     )
+
+
+def test_corpus_pins_coordination(corpus):
+    # Coordination changes lanes in every combination, so a bug in the
+    # coordination lock shows as a drifted digest.
+    digests = corpus["digests"]
+    same = [
+        corpus_key("both", True, substeps, seed)
+        for substeps in SUBSTEPS
+        for seed in SEEDS
+        if digests[corpus_key("both", True, substeps, seed)]
+        == digests[corpus_key("both", False, substeps, seed)]
+    ]
+    assert not same, f"coordination does not change: {same}"
 
 
 def test_one_chunk_matches_corpus(test_table, corpus, scenarios):
