@@ -116,11 +116,10 @@ def record_campaign(name: str, result_set) -> None:
     if isinstance(profile, dict) and "unsupported" not in profile:
         phases = "  ".join(
             f"{phase}={profile[phase]:.3f}s"
-            for phase in ("tape_draw", "decision", "physics", "observe",
-                          "transfer")
+            for phase in ("tape_draw", "decision", "physics", "observe")
             if phase in profile
         )
-        print(f"kernel phases [{profile.get('device', '?')}]: {phases}")
+        print(f"kernel phases: {phases}")
     if _SMOKE_RUN:
         return
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -57,11 +57,9 @@ and ``pytest benchmarks/bench_batch_kernel.py``):
   single lane array, with every scenario's disturbance/sensor noise
   pre-drawn into tapes (the megabatch path, default everywhere):
   0.59 s — ~1.3x over the pre-tape kernel on this single-core box.
-- ``"vectorized-batch-gpu"`` — the same megabatch kernel on an
-  accelerator array namespace (CuPy, auto-detected).  Noise tapes are
-  still drawn on host, so results stay bitwise comparable; with no
-  usable device it **warns and falls back** to the CPU kernel with
-  identical results (its provenance then reads ``vectorized-batch``).
+- ``"vectorized-batch-gpu"`` — an alias kept so older invocations
+  still run: it builds the ``"vectorized-batch"`` backend above, with
+  identical results and provenance.
 
 ``"vectorized-batch"`` replays the exact per-scenario noise streams of
 ``"vectorized"``, so the two produce bitwise-identical campaigns; the
@@ -71,7 +69,7 @@ via ``Campaign.iter_records(seed=...)``.
 
 ``Campaign.run(profile=True)`` (CLI: ``repro campaign --profile``)
 additionally collects the megabatch kernel's per-phase wall-clock
-breakdown — tape draw / decision / physics / observe / transfer — into
+breakdown — tape draw / decision / physics / observe — into
 ``results.metadata["kernel_profile"]`` (on the 50×100 workload above:
 decision ~56%, tape draw ~19%, physics ~19%, observe ~6%).
 

@@ -993,8 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--profile", action="store_true",
         help="print the megabatch kernel's per-phase wall-clock "
-             "breakdown (tape draw / decision / physics / observe / "
-             "transfer); in-process megabatch backends only",
+             "breakdown (tape draw / decision / physics / observe); "
+             "in-process megabatch backends only",
     )
     campaign.add_argument(
         "--trace", action="store_true",

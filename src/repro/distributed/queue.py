@@ -225,9 +225,9 @@ class WorkerInfo:
     campaign_id: Optional[str]
     started_at: float
     heartbeat: float
-    #: What the worker advertised it can execute (backend keys,
-    #: accelerator status — see :func:`repro.distributed.worker.
-    #: worker_capabilities`); ``None`` until it advertises.
+    #: What the worker advertised it can execute (backend keys — see
+    #: :func:`repro.distributed.worker.worker_capabilities`); ``None``
+    #: until it advertises.
     capabilities: Optional[dict] = None
 
     def to_dict(self, now: Optional[float] = None) -> dict:
@@ -852,14 +852,13 @@ class WorkQueue:
     def advertise_capabilities(
         self, worker_id: str, capabilities: dict
     ) -> None:
-        """Record what *worker_id* can execute (backend keys, devices).
+        """Record what *worker_id* can execute (a JSON object).
 
-        Workers call this once at startup; heartbeat upserts leave the
-        column alone, so the advertisement survives the whole worker
-        lifetime.  Coordinators read it back through
-        :meth:`live_workers`/:meth:`workers` — e.g. to check whether
-        any live fleet member can serve a campaign submitted with the
-        ``"vectorized-batch-gpu"`` backend on an actual accelerator.
+        Workers call this once at startup with their backend keys;
+        heartbeat upserts leave the column alone, so the advertisement
+        survives the whole worker lifetime.  Coordinators read it back
+        through :meth:`live_workers`/:meth:`workers` — e.g. to check
+        whether any live fleet member can serve a campaign's backend.
         """
         blob = json.dumps(capabilities)
 

@@ -68,20 +68,13 @@ def worker_capabilities() -> Dict[str, object]:
 
     Advertised on the queue's workers table at startup
     (:meth:`~repro.distributed.queue.WorkQueue.advertise_capabilities`):
-    the registered backend keys this process can rebuild, plus the
-    accelerator picture from :mod:`repro.sim.xp` — so a coordinator can
-    tell whether a ``"vectorized-batch-gpu"`` campaign submitted to
-    this fleet will run on an actual device or fall back to the CPU
-    kernel on every member.
+    the registered backend keys this process can rebuild, so a
+    coordinator can tell whether a campaign's backend is servable by
+    the fleet.
     """
     from repro.experiments.backends import available_backends
-    from repro.sim.xp import accelerator_available, detect_accelerators
 
-    return {
-        "backends": list(available_backends()),
-        "accelerated": accelerator_available(),
-        "accelerators": detect_accelerators(),
-    }
+    return {"backends": list(available_backends())}
 
 
 class HeartbeatFailure(RuntimeError):

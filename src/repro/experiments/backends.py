@@ -13,11 +13,12 @@ for speed; dedicated tests keep them equivalent.
 This module puts all of them behind one :class:`SimulationBackend`
 interface so every consumer — campaigns, GA fitness, Monte-Carlo
 estimation, the CLI — selects the trade-off with a single string
-(``"agent"``, ``"vectorized"``, ``"vectorized-batch"``,
-``"vectorized-batch-gpu"`` or ``"distributed"``) instead of importing a
-different class.  New
+(``"agent"``, ``"vectorized"``, ``"vectorized-batch"`` or
+``"distributed"``) instead of importing a different class.  New
 backends register under their own key and become available everywhere
-at once.  The ``"distributed"`` key is the multi-host dispatcher: a
+at once.  ``"vectorized-batch-gpu"`` survives only as an alias that
+builds the ``"vectorized-batch"`` backend, so older invocations naming
+it still run (and record ``vectorized-batch``).  The ``"distributed"`` key is the multi-host dispatcher: a
 :class:`~repro.distributed.backend.DistributedBackend` (registered
 lazily, so importing this module stays cheap) that carries a shared
 work-queue path, a result-store path and a fleet policy, and makes
@@ -33,7 +34,6 @@ unpickling the full backend (logic table and all) with every task.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -54,7 +54,6 @@ from repro.avoidance.acas import AcasXuAvoidance
 from repro.encounters.encoding import EncounterParameters
 from repro.sim.batch import BatchEncounterSimulator, BatchResult, KernelProfile
 from repro.sim.encounter import EncounterSimConfig, make_acas_pair, run_encounter
-from repro.sim.xp import ArrayNamespace, detect_accelerators, get_namespace
 from repro.util.rng import SeedLike, as_seed_sequence
 
 #: Equipage spellings shared by the library and the CLI.
@@ -279,9 +278,6 @@ class VectorizedBatchBackend(VectorizedBackend):
 
     name = "vectorized-batch"
 
-    #: Array namespace executing the kernel (``None`` = host numpy).
-    _xp: Optional[ArrayNamespace] = None
-
     #: Accumulating per-phase timings, set by :meth:`enable_profiling`.
     kernel_profile: Optional[KernelProfile] = None
 
@@ -290,7 +286,7 @@ class VectorizedBatchBackend(VectorizedBackend):
 
         Every subsequent :meth:`simulate`/:meth:`simulate_many` call
         accumulates its per-phase timings (tape draw, decision, physics,
-        observe, transfer) into the returned profile, so one profile
+        observe) into the returned profile, so one profile
         object covers a whole chunked campaign.
         """
         self.kernel_profile = KernelProfile()
@@ -327,75 +323,14 @@ class VectorizedBatchBackend(VectorizedBackend):
             params_list,
             num_runs,
             rngs,
-            xp=self._xp,
             profile=self.kernel_profile,
         )
 
 
-@register_backend("vectorized-batch-gpu")
-class VectorizedBatchGpuBackend(VectorizedBatchBackend):
-    """The megabatch path on an accelerator array namespace.
-
-    Identical to ``"vectorized-batch"`` except that the decision /
-    physics / observe phases execute on the namespace
-    :func:`repro.sim.xp.get_namespace` resolves for *device* (CuPy when
-    a CUDA device answers).  Noise tapes are still drawn on the host —
-    the RNG stream is part of the result contract — and transferred to
-    the device once per chunk.
-
-    On a host with no usable accelerator the backend **degrades rather
-    than fails**: it warns once at construction (embedding the per-stack
-    diagnosis from :func:`~repro.sim.xp.detect_accelerators`) and runs
-    the stock CPU kernel, producing bitwise-identical results.  The
-    fallback also rewrites :attr:`provenance_name` to
-    ``"vectorized-batch"`` so recorded campaigns name the backend that
-    actually produced their bits.
-    """
-
-    name = "vectorized-batch-gpu"
-
-    def __init__(
-        self,
-        table: Optional[LogicTable] = None,
-        config: EncounterSimConfig | None = None,
-        equipage: str = "both",
-        coordination: bool = True,
-        device: str = "auto",
-    ):
-        super().__init__(
-            table, config, equipage=equipage, coordination=coordination
-        )
-        self.device = device
-        namespace = get_namespace(device)
-        if namespace.is_accelerated:
-            self._xp = namespace
-            self.provenance_name = self.name
-        else:
-            diagnosis = ", ".join(
-                f"{stack}: {status}"
-                for stack, status in sorted(detect_accelerators().items())
-            )
-            warnings.warn(
-                "backend 'vectorized-batch-gpu' found no usable "
-                f"accelerator ({diagnosis}); running the CPU megabatch "
-                "kernel instead (results are bitwise identical)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self._xp = None
-            self.provenance_name = "vectorized-batch"
-
-    def capture_spec(self) -> "BackendSpec":
-        """Spec carrying the device request for fleet-side rebuilds."""
-        table = self.table
-        return BackendSpec(
-            backend=self.name,
-            equipage=self.equipage,
-            coordination=self.coordination,
-            config=self.config,
-            table_bytes=table.to_bytes() if table is not None else None,
-            device=self.device,
-        )
+# Alias kept so older invocations still run: it builds the megabatch
+# backend, whose name (and so every recorded provenance) is
+# "vectorized-batch".
+register_backend("vectorized-batch-gpu")(VectorizedBatchBackend)
 
 
 @register_backend("distributed")
@@ -444,11 +379,6 @@ class BackendSpec:
     #: ``"distributed"`` only: fleet policy keyword arguments
     #: (``lease_seconds``, ``poll_interval``, ``fallback``, ...).
     fleet: Optional[Dict[str, object]] = None
-    #: ``"vectorized-batch-gpu"`` only: the device request
-    #: (``"auto"``/``"numpy"``/``"cupy"``), so a fleet worker rebuilding
-    #: the backend resolves its *own* accelerator rather than
-    #: inheriting the submitting host's.
-    device: Optional[str] = None
 
     @classmethod
     def capture(cls, backend: SimulationBackend) -> "BackendSpec":
@@ -506,8 +436,6 @@ class BackendSpec:
             options["inner"] = self.inner
         if self.fleet:
             options.update(self.fleet)
-        if self.device is not None:
-            options["device"] = self.device
         return make_backend(
             self.backend,
             table=table,

@@ -416,13 +416,11 @@ class Campaign:
         )
         # Provenance-transparent backends (the fleet dispatcher) name
         # the backend that determines the output bits, so a distributed
-        # campaign shares identity with its in-process twin.
+        # campaign shares identity with its in-process twin; a registry
+        # alias records the name of the backend it built.
         self.backend_name = getattr(
             self.backend, "provenance_name", None
-        ) or (
-            backend if isinstance(backend, str)
-            else getattr(backend, "name", type(backend).__name__)
-        )
+        ) or getattr(self.backend, "name", type(self.backend).__name__)
         self.equipage = equipage
         self.coordination = coordination
         self.runs_per_scenario = runs_per_scenario
@@ -765,7 +763,7 @@ class Campaign:
 
         With ``profile=True`` and a megabatch backend, the kernel's
         per-phase wall-clock breakdown (tape draw / decision / physics /
-        observe / transfer) lands in ``metadata["kernel_profile"]`` —
+        observe) lands in ``metadata["kernel_profile"]`` —
         and from there into every store/bench record the result set
         flows through.  Profiling is in-process only: with ``workers >
         1`` (or a backend without kernel timers) the metadata instead

@@ -22,6 +22,7 @@ Error mapping, service exceptions → HTTP statuses::
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import socketserver
@@ -55,6 +56,20 @@ class HttpError(Exception):
         self.message = message
 
 
+def _finite_float(literal: str) -> float:
+    """A JSON number literal as a float; overflow (``1e999``) is an error.
+
+    ``json`` would otherwise turn an out-of-range literal into ``inf``,
+    silently replacing the number the client wrote.  The non-standard
+    ``NaN``/``Infinity`` constants still parse: the fields that take
+    floats validate them with a field-level diagnosis.
+    """
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"number {literal} is out of range")
+    return value
+
+
 def _json_body(environ) -> object:
     """Parse the request body as JSON, or raise a 400."""
     try:
@@ -65,7 +80,7 @@ def _json_body(environ) -> object:
     if not raw:
         raise HttpError(400, "empty request body (expected a JSON object)")
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), parse_float=_finite_float)
     except (UnicodeDecodeError, ValueError) as error:
         raise HttpError(400, f"malformed JSON body: {error}") from None
 

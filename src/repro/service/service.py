@@ -23,6 +23,7 @@ Error model (the WSGI layer maps these to HTTP statuses):
 
 from __future__ import annotations
 
+import math
 import os
 import sqlite3
 import sys
@@ -60,6 +61,26 @@ def _service_config(preset: str):
         return paper_config()
     raise ValueError(
         f"unknown table preset {preset!r} (use 'test' or 'paper')"
+    )
+
+
+def _timeout_seconds(value) -> float:
+    """The ``"timeout"`` envelope key as finite positive seconds.
+
+    A ``NaN`` or infinite timeout would make :meth:`CampaignService.wait`
+    block forever, holding a handler thread, so it is a ``ValueError``
+    (a 400 over HTTP) before anything is registered.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            seconds = float(value)
+        except OverflowError:  # an int too large for a double
+            seconds = math.inf
+        if 0.0 < seconds < math.inf:
+            return seconds
+    raise ValueError(
+        f'"timeout" must be a finite positive number of seconds, '
+        f"got {value!r}"
     )
 
 
@@ -217,6 +238,7 @@ class CampaignService:
         label = payload.get("label")
         if label is not None and not isinstance(label, str):
             raise ValueError(f'"label" must be a string, got {label!r}')
+        timeout = _timeout_seconds(payload.get("timeout", 60.0))
         if payload.get("backend") == "distributed":
             raise ValueError(
                 'backend "distributed" is not accepted over the wire: '
@@ -247,9 +269,8 @@ class CampaignService:
         self._m_submissions.inc(mode=receipt["mode"])
         self._submission_count += 1
         if payload.get("wait"):
-            timeout = payload.get("timeout", 60.0)
             receipt["progress"] = self.wait(
-                receipt["campaign_id"], timeout=float(timeout)
+                receipt["campaign_id"], timeout=timeout
             )
         return receipt
 

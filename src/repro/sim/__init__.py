@@ -16,12 +16,10 @@ pieces:
 - :mod:`repro.sim.trace` — trajectory recording and ASCII rendering;
 - :mod:`repro.sim.encounter` — the high-level ``run_encounter`` entry
   point used by everything else (GA fitness, Monte-Carlo, examples);
-- :mod:`repro.sim.batch` — a vectorized fast path that simulates the
-  many noisy runs of one encounter simultaneously (with pre-drawn
-  noise tapes, per-phase :class:`~repro.sim.batch.KernelProfile`
-  timers, and an array-namespace seam);
-- :mod:`repro.sim.xp` — the array-namespace seam itself (numpy always;
-  CuPy auto-detected), behind the ``"vectorized-batch-gpu"`` backend.
+- :mod:`repro.sim.batch` — a vectorized NumPy fast path that simulates
+  the many noisy runs of one encounter simultaneously (with pre-drawn
+  noise tapes and per-phase :class:`~repro.sim.batch.KernelProfile`
+  timers).
 """
 
 from repro.sim.agents import UavAgent
@@ -36,17 +34,10 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.monitors import AccidentDetector, ProximityMeasurer
 from repro.sim.sensors import AdsBSensor
 from repro.sim.trace import TrajectoryTrace, render_vertical_profile
-from repro.sim.xp import (
-    ArrayNamespace,
-    accelerator_available,
-    detect_accelerators,
-    get_namespace,
-)
 
 __all__ = [
     "AccidentDetector",
     "AdsBSensor",
-    "ArrayNamespace",
     "BatchEncounterSimulator",
     "BatchResult",
     "DisturbanceModel",
@@ -57,9 +48,6 @@ __all__ = [
     "SimulationEngine",
     "TrajectoryTrace",
     "UavAgent",
-    "accelerator_available",
-    "detect_accelerators",
-    "get_namespace",
     "render_vertical_profile",
     "run_encounter",
 ]

@@ -9,7 +9,7 @@ The dynamics, sensing, coordination and monitors replicate
 statistical equivalence); only the random-draw order differs.
 
 The megabatch path (:meth:`BatchEncounterSimulator.run_many`) goes one
-step further and is structured as a backend-agnostic *kernel*:
+step further and advances many scenarios as one lane array:
 
 - **Side-stacked state** — positions and velocities are
   component-major ``(3, 2, lanes)`` arrays (side 0 = own, side 1 =
@@ -27,16 +27,12 @@ step further and is structured as a backend-agnostic *kernel*:
   eliminating the per-decision Python RNG loop
   (:mod:`repro.sim.batch_reference` freezes that pre-refactor loop as
   the golden equivalence/benchmark baseline).
-- **Array-namespace seam** — the decision / physics / observe phases
-  take an :class:`repro.sim.xp.ArrayNamespace`; numpy is the default
-  and pays nothing, while an accelerator namespace receives the
-  host-drawn tapes via ``asarray`` (logic-table lookups stay on host).
 - **Per-phase timers** — ``run_many(profile=...)`` accumulates a
-  :class:`KernelProfile` (tape-draw / decision / physics / observe /
-  transfer), the observability surface ``Campaign.run(profile=True)``
-  stamps into campaign metadata.
+  :class:`KernelProfile` (tape-draw / decision / physics / observe),
+  the observability surface ``Campaign.run(profile=True)`` stamps into
+  campaign metadata.
 
-Every kernel op is lane-wise and evaluates the same float expression
+Every kernel op is lane-wise and evaluates the same float arithmetic
 as :meth:`BatchEncounterSimulator.run`, so a scenario's megabatch slice
 is bitwise identical to its per-scenario run;
 ``tests/golden/kernel_digests.json`` pins those bits.
@@ -57,7 +53,6 @@ from repro.acasx.advisories import ADVISORIES, NUM_ADVISORIES
 from repro.acasx.logic_table import LogicTable
 from repro.encounters.encoding import EncounterParameters, decode_encounter
 from repro.sim.encounter import EncounterSimConfig
-from repro.sim.xp import ArrayNamespace, NUMPY_NAMESPACE
 from repro.util.rng import SeedLike, as_generator
 from repro.util.units import NMAC_HORIZONTAL_M, NMAC_VERTICAL_M
 
@@ -76,41 +71,9 @@ _TARGET_FILLED = np.nan_to_num(_TARGET_RATES)
 _RAMP_MASK = _ACTIVE & (_ACCELS > 0)
 
 
-class _AdvisoryTables(NamedTuple):
-    """The advisory attribute tables, in one namespace's memory."""
-
-    target_filled: object
-    accels: object
-    senses: object
-    active: object
-    ramp_mask: object
-
-
-_HOST_TABLES = _AdvisoryTables(
-    _TARGET_FILLED, _ACCELS, _SENSES, _ACTIVE, _RAMP_MASK
-)
-_DEVICE_TABLES: Dict[str, _AdvisoryTables] = {}
-
-
-def advisory_tables(xp: ArrayNamespace) -> _AdvisoryTables:
-    """The advisory tables resident in *xp*'s memory (cached).
-
-    Fancy indexing by a device-resident advisory array (``sra``) needs
-    the attribute tables on the device too; host numpy gets the module
-    globals unchanged.
-    """
-    if not xp.is_accelerated:
-        return _HOST_TABLES
-    tables = _DEVICE_TABLES.get(xp.name)
-    if tables is None:
-        tables = _AdvisoryTables(*(xp.asarray(t) for t in _HOST_TABLES))
-        _DEVICE_TABLES[xp.name] = tables
-    return tables
-
-
 #: Phase names of :class:`KernelProfile`, in pipeline order.
 KERNEL_PHASES: Tuple[str, ...] = (
-    "tape_draw", "decision", "physics", "observe", "transfer",
+    "tape_draw", "decision", "physics", "observe",
 )
 
 
@@ -126,21 +89,17 @@ class KernelProfile:
     - ``decision``  — sensing arithmetic + advisory selection (includes
       the host logic-table lookup);
     - ``physics``   — substep integration of both aircraft;
-    - ``observe``   — separation / NMAC monitors;
-    - ``transfer``  — host↔device movement (zero on the CPU kernel).
+    - ``observe``   — separation / NMAC monitors.
     """
 
     tape_draw: float = 0.0
     decision: float = 0.0
     physics: float = 0.0
     observe: float = 0.0
-    transfer: float = 0.0
     #: How many kernel invocations / scenarios / lanes accumulated.
     calls: int = 0
     scenarios: int = 0
     lanes: int = 0
-    #: Array namespace the kernel ran on (``"numpy"`` / ``"cupy"``).
-    device: str = "numpy"
 
     @property
     def total(self) -> float:
@@ -157,7 +116,6 @@ class KernelProfile:
             calls=self.calls,
             scenarios=self.scenarios,
             lanes=self.lanes,
-            device=self.device,
         )
         return payload
 
@@ -165,7 +123,7 @@ class KernelProfile:
         """Multi-line phase breakdown for benches and the CLI."""
         total = self.total
         lines = [
-            f"kernel profile [{self.device}]: {self.calls} call(s), "
+            f"kernel profile: {self.calls} call(s), "
             f"{self.scenarios} scenario(s), {self.lanes} lane(s), "
             f"{total:.3f}s in profiled phases"
         ]
@@ -269,7 +227,7 @@ class BatchEncounterSimulator:
     # ------------------------------------------------------------------
     # Decision helpers
     # ------------------------------------------------------------------
-    def _conflict_geometry(self, own_pos, own_vel, other_pos, other_vel, np_=np):
+    def _conflict_geometry(self, own_pos, own_vel, other_pos, other_vel):
         """Vectorized port of AcasXuController._conflict_geometry.
 
         Component-major, like :meth:`_advance`: the arrays are ``(3,
@@ -286,11 +244,11 @@ class BatchEncounterSimulator:
         # Masked divide: lanes with ~zero closing speed keep the 0.0
         # prefill and the division is never evaluated there, so no
         # errstate bracket is needed.
-        t_star = np_.zeros_like(dot)
-        np_.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
-        tau = np_.maximum(t_star, 0.0)
+        t_star = np.zeros_like(dot)
+        np.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
+        tau = np.maximum(t_star, 0.0)
         at_cpa = rel_pos + rel_vel * tau
-        miss = np_.hypot(at_cpa[0], at_cpa[1])
+        miss = np.hypot(at_cpa[0], at_cpa[1])
         in_conflict = (
             (tau > 0.0)
             & (tau <= config.horizon * config.dt)
@@ -326,28 +284,20 @@ class BatchEncounterSimulator:
         )
         q = self.table.q_values_batch(tau[active], current_sra[active], coords)
         if forbidden_sense is not None:
-            self._mask_forbidden(q, forbidden_sense[active], np)
+            self._mask_forbidden(q, forbidden_sense[active])
         new_sra[active] = np.argmax(q, axis=1)
         return new_sra
 
     @staticmethod
-    def _mask_forbidden(q, locked, np_) -> None:
+    def _mask_forbidden(q, locked) -> None:
         """-inf out advisories whose sense conflicts with *locked*."""
         for a_idx in range(NUM_ADVISORIES):
             if not _ACTIVE[a_idx]:
                 continue
             conflict_mask = (locked != 0) & (_SENSES[a_idx] == locked)
-            q[conflict_mask, a_idx] = -np_.inf
+            q[conflict_mask, a_idx] = -np.inf
 
-    def _decide_stacked(
-        self,
-        pos,
-        vel,
-        sense_noise,
-        sra,
-        tables: _AdvisoryTables,
-        xp: ArrayNamespace = NUMPY_NAMESPACE,
-    ):
+    def _decide_stacked(self, pos, vel, sense_noise, sra):
         """New advisories of every equipped side from one joint lookup.
 
         *pos* / *vel* are side-stacked ``(3, 2, lanes)`` views, *sra* is
@@ -364,7 +314,6 @@ class BatchEncounterSimulator:
         lock, and own's fresh sense then locks the intruder.  Returns
         the ``(sides, lanes)`` advisory indices.
         """
-        np_ = xp.np
         sides = sense_noise.shape[2]
         lanes = pos.shape[2]
         own_pos, own_vel = pos[:, :sides], vel[:, :sides]
@@ -372,43 +321,32 @@ class BatchEncounterSimulator:
         sensed_vel = vel[:, ::-1][:, :sides] + sense_noise[1]
 
         tau, in_conflict = self._conflict_geometry(
-            own_pos, own_vel, sensed_pos, sensed_vel, np_
+            own_pos, own_vel, sensed_pos, sensed_vel
         )
 
-        new_sra = np_.zeros((sides, lanes), dtype=np_.int64)  # COC
-        active = np_.flatnonzero(in_conflict)
+        new_sra = np.zeros((sides, lanes), dtype=np.int64)  # COC
+        active = np.flatnonzero(in_conflict)
         if active.size == 0:
             return new_sra
-        side, lane = np_.divmod(active, lanes)
-        coords = np_.empty((active.size, 3))
+        side, lane = np.divmod(active, lanes)
+        coords = np.empty((active.size, 3))
         coords[:, 0] = sensed_pos[2].reshape(-1)[active] - own_pos[2][side, lane]
         coords[:, 1] = own_vel[2][side, lane]
         coords[:, 2] = sensed_vel[2].reshape(-1)[active]
-        tau_rows = tau.reshape(-1)[active]
-        current = sra[side, lane]
-        # The logic-table lookup is a host-memory gather; on a device
-        # namespace the conflict rows cross to host and the q values
-        # come back — the only per-decision transfer of the kernel.
-        if xp.is_accelerated:
-            q = xp.asarray(
-                self.table.q_values_batch(
-                    xp.to_numpy(tau_rows), xp.to_numpy(current),
-                    xp.to_numpy(coords),
-                )
-            )
-        else:
-            q = self.table.q_values_batch(tau_rows, current, coords)
+        q = self.table.q_values_batch(
+            tau.reshape(-1)[active], sra[side, lane], coords
+        )
 
         if not (self.coordination and sides == 2):
-            new_sra[side, lane] = np_.argmax(q, axis=1)
+            new_sra[side, lane] = np.argmax(q, axis=1)
             return new_sra
-        split = int(np_.count_nonzero(in_conflict[0]))
+        split = int(np.count_nonzero(in_conflict[0]))
         own_lanes, intr_lanes = lane[:split], lane[split:]
         q_own, q_intr = q[:split], q[split:]
-        self._mask_forbidden(q_own, tables.senses[sra[1, own_lanes]], np_)
-        new_sra[0, own_lanes] = np_.argmax(q_own, axis=1)
-        self._mask_forbidden(q_intr, tables.senses[new_sra[0, intr_lanes]], np_)
-        new_sra[1, intr_lanes] = np_.argmax(q_intr, axis=1)
+        self._mask_forbidden(q_own, _SENSES[sra[1, own_lanes]])
+        new_sra[0, own_lanes] = np.argmax(q_own, axis=1)
+        self._mask_forbidden(q_intr, _SENSES[new_sra[0, intr_lanes]])
+        new_sra[1, intr_lanes] = np.argmax(q_intr, axis=1)
         return new_sra
 
     # ------------------------------------------------------------------
@@ -435,7 +373,7 @@ class BatchEncounterSimulator:
         return vertical, horizontal
 
     @staticmethod
-    def _gather_advisory(sra, dt: float, tables: _AdvisoryTables = _HOST_TABLES):
+    def _gather_advisory(sra, dt: float):
         """Per-lane advisory physics terms, gathered once per decision.
 
         The returned ``(target, accel, max_change, ramp_mask)`` tuple is
@@ -443,18 +381,12 @@ class BatchEncounterSimulator:
         so :meth:`run_many` amortizes the fancy-index gathers across
         substeps (same values, so same bits).
         """
-        accel = tables.accels[sra]
-        return (
-            tables.target_filled[sra],
-            accel,
-            accel * dt,
-            tables.ramp_mask[sra],
-        )
+        accel = _ACCELS[sra]
+        return _TARGET_FILLED[sra], accel, accel * dt, _RAMP_MASK[sra]
 
     @staticmethod
     def _advance(
-        pos, vel, gathered, dt: float, vertical_noise, horizontal_noise,
-        np_=np,
+        pos, vel, gathered, dt: float, vertical_noise, horizontal_noise
     ) -> None:
         """One physics substep, in place, on component-major arrays.
 
@@ -475,21 +407,21 @@ class BatchEncounterSimulator:
         # the commanded displacement collapses to the free-flight vz*dt.
         # In-place arithmetic below reuses temporaries; each rewrite is
         # the same float operation in the same order as the plain
-        # expression it replaces, so every output bit is unchanged.
+        # formula it replaces, so every output bit is unchanged.
         vz = vel[2]
         target, accel, max_change, ramp_mask = gathered
         ramp = target - vz
-        np_.clip(ramp, -max_change, max_change, out=ramp)
+        np.clip(ramp, -max_change, max_change, out=ramp)
         # Masked divide: non-ramping lanes (accel == 0) keep the 0.0
         # prefill and never evaluate the division, so no errstate
         # bracket is needed.
-        t_ramp = np_.zeros_like(ramp)
-        np_.divide(np_.abs(ramp), accel, out=t_ramp, where=ramp_mask)
+        t_ramp = np.zeros_like(ramp)
+        np.divide(np.abs(ramp), accel, out=t_ramp, where=ramp_mask)
         vz_capture = vz + ramp
         lift = vz + vz_capture
         lift /= 2.0
         lift *= t_ramp
-        np_.subtract(dt, t_ramp, out=t_ramp)
+        np.subtract(dt, t_ramp, out=t_ramp)
         t_ramp *= vz_capture
         lift += t_ramp
         pos[2] += lift
@@ -759,7 +691,6 @@ class BatchEncounterSimulator:
         num_runs: int,
         seeds: Optional[Sequence[SeedLike]] = None,
         *,
-        xp: Optional[ArrayNamespace] = None,
         profile: Optional[KernelProfile] = None,
     ) -> List[BatchResult]:
         """Simulate *num_runs* runs of **each** scenario as one batch.
@@ -786,10 +717,6 @@ class BatchEncounterSimulator:
 
         Parameters
         ----------
-        xp:
-            Array namespace executing the decision/physics/observe
-            phases (default: host numpy).  On an accelerated namespace
-            the host-drawn tapes are transferred once per decision.
         profile:
             Optional :class:`KernelProfile` accumulating this call's
             per-phase wall-clock times.
@@ -806,7 +733,6 @@ class BatchEncounterSimulator:
             raise ValueError(
                 f"got {len(seeds)} seeds for {len(params_list)} scenarios"
             )
-        namespace = xp or NUMPY_NAMESPACE
         rngs = [as_generator(seed) for seed in seeds]
 
         config = self.config
@@ -843,15 +769,8 @@ class BatchEncounterSimulator:
             starts[1, :, 1, slot] = intr0.velocity
         pos, vel = np.repeat(starts, n, axis=3)
 
-        profiling = profile is not None
-        t_tape = t_decision = t_physics = t_observe = t_transfer = 0.0
-
-        def mark() -> float:
-            # Fence the device first so a profiled bracket measures
-            # completed kernel work, not asynchronous launch latency.
-            if profiling:
-                namespace.synchronize()
-            return time.perf_counter()
+        t_tape = t_decision = t_physics = t_observe = 0.0
+        mark = time.perf_counter
 
         sub_dt = config.decision_dt / config.physics_substeps
         substeps = config.physics_substeps
@@ -864,30 +783,22 @@ class BatchEncounterSimulator:
         )
         t_tape += mark() - t0
 
-        np_ = namespace.np
-        tables = advisory_tables(namespace)
-        if namespace.is_accelerated:
-            t0 = mark()
-            pos = namespace.asarray(pos)
-            vel = namespace.asarray(vel)
-            t_transfer += mark() - t0
-
-        sra = np_.zeros((2, total), dtype=np_.int64)
-        alerted = np_.zeros((2, total), dtype=bool)
-        min_sep = np_.full(total, np_.inf)
-        min_horiz = np_.full(total, np_.inf)
-        nmac = np_.zeros(total, dtype=bool)
+        sra = np.zeros((2, total), dtype=np.int64)
+        alerted = np.zeros((2, total), dtype=bool)
+        min_sep = np.full(total, np.inf)
+        min_horiz = np.full(total, np.inf)
+        nmac = np.zeros(total, dtype=bool)
 
         def observe_into(p, sep_acc, horiz_acc, nmac_acc) -> None:
             # The accumulators are contiguous active-lane views gathered
             # once per decision, so each substep's monitor update is
             # pure in-place arithmetic.
             delta = p[:, 0] - p[:, 1]
-            horizontal = np_.hypot(delta[0], delta[1])
-            vertical = np_.abs(delta[2])
-            separation = np_.hypot(horizontal, vertical)
-            np_.minimum(sep_acc, separation, out=sep_acc)
-            np_.minimum(horiz_acc, horizontal, out=horiz_acc)
+            horizontal = np.hypot(delta[0], delta[1])
+            vertical = np.abs(delta[2])
+            separation = np.hypot(horizontal, vertical)
+            np.minimum(sep_acc, separation, out=sep_acc)
+            np.minimum(horiz_acc, horizontal, out=horiz_acc)
             nmac_acc |= (horizontal < NMAC_HORIZONTAL_M) & (
                 vertical < NMAC_VERTICAL_M
             )
@@ -920,15 +831,6 @@ class BatchEncounterSimulator:
             )
             t_tape += mark() - t0
 
-            if namespace.is_accelerated:
-                t0 = mark()
-                sense_noise, vert_noise, horiz_noise = (
-                    None if a is None
-                    else namespace.asarray(np.ascontiguousarray(a))
-                    for a in (sense_noise, vert_noise, horiz_noise)
-                )
-                t_transfer += mark() - t0
-
             # The active lanes are a contiguous prefix, so these are
             # views: every in-place update below lands directly in the
             # full state arrays with no scatter-back.
@@ -936,11 +838,9 @@ class BatchEncounterSimulator:
             lane_sra = sra[:, lanes]
             if equipped:
                 t0 = mark()
-                decided = self._decide_stacked(
-                    p, v, sense_noise, lane_sra, tables, xp=namespace
-                )
+                decided = self._decide_stacked(p, v, sense_noise, lane_sra)
                 lane_sra[:equipped] = decided
-                alerted[:equipped, lanes] |= tables.active[decided]
+                alerted[:equipped, lanes] |= _ACTIVE[decided]
                 t_decision += mark() - t0
 
             # Monitor accumulators, gathered once per decision.
@@ -949,38 +849,27 @@ class BatchEncounterSimulator:
 
             # Advisories are fixed for the whole decision: gather their
             # physics terms once and reuse across every substep.
-            terms = self._gather_advisory(lane_sra, sub_dt, tables)
+            terms = self._gather_advisory(lane_sra, sub_dt)
             for k in range(substeps):
                 t0 = mark()
                 self._advance(
                     p, v, terms, sub_dt,
                     vert_noise[k] if vert_noise is not None else None,
                     horiz_noise[k] if horiz_noise is not None else None,
-                    np_,
                 )
                 t_physics += mark() - t0
                 t0 = mark()
                 observe_into(p, sep_acc, horiz_acc, nmac_acc)
                 t_observe += mark() - t0
 
-        if namespace.is_accelerated:
-            t0 = mark()
-            min_sep = namespace.to_numpy(min_sep)
-            min_horiz = namespace.to_numpy(min_horiz)
-            nmac = namespace.to_numpy(nmac)
-            alerted = namespace.to_numpy(alerted)
-            t_transfer += mark() - t0
-
-        if profiling:
+        if profile is not None:
             profile.tape_draw += t_tape
             profile.decision += t_decision
             profile.physics += t_physics
             profile.observe += t_observe
-            profile.transfer += t_transfer
             profile.calls += 1
             profile.scenarios += num_scenarios
             profile.lanes += total
-            profile.device = namespace.name
 
         # Undo the internal duration ordering: scenario s lives in slot
         # inverse[s] of the lane arrays.

@@ -900,8 +900,9 @@ class ResultStore:
         """Check every stored record's per-run blob against its checksum.
 
         A record is corrupt when its blob no longer hashes to the
-        stored sha256 (torn write, bit-rot), fails to decode, or
-        decodes to the wrong run count.  Legacy rows written before
+        stored sha256 (torn write, bit-rot), fails to decode, decodes
+        to the wrong run count, or holds non-finite separations (a
+        record simulated from a NaN genome).  Legacy rows written before
         checksums existed (``checksum IS NULL``) are verified by
         decodability alone.
 
@@ -990,6 +991,12 @@ class ResultStore:
                 f"run count mismatch (blob has {runs.num_runs}, "
                 f"row says {row['num_runs']})"
             )
+        # A NaN genome simulates to NaN separations, which every NMAC
+        # comparison reads as "no NMAC": a stored rate of 0.0 that is
+        # not a measurement.
+        for field in ("min_separation", "min_horizontal"):
+            if not np.isfinite(getattr(runs, field)).all():
+                return f"non-finite {field} in runs blob"
         return None
 
     def _quarantine(

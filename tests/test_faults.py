@@ -17,10 +17,13 @@ a supervisor would.  Real-subprocess supervision is covered in
 ``test_supervisor.py``.
 """
 
+import dataclasses
+import hashlib
 import sqlite3
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import faults
@@ -40,6 +43,7 @@ from repro.service import CampaignService, Watchlist, WatchlistThread, make_app
 from repro.service.testing import ServiceClient
 from repro.store import ResultStore
 from repro.store.spec import results_digest
+from repro.store.store import _pack_runs
 
 SCENARIOS = 5
 RUNS = 3
@@ -341,6 +345,33 @@ class TestStoreIntegrity:
             assert repaired.backfilled == 1
             after = store.verify()
             assert after.missing_checksum == 0 and after.ok
+
+    def test_verify_flags_non_finite_separations(self, tmp_path):
+        # A record simulated from a NaN genome holds NaN separations
+        # (stored as NMAC rate 0.0) under a valid checksum: verify must
+        # call it corrupt so that repair quarantines it.
+        campaign = make_campaign()
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            result = campaign.run(seed=SEED, store=store)
+            cid = result.metadata["campaign_id"]
+            runs = result[0].runs
+            blob = _pack_runs(dataclasses.replace(
+                runs, min_separation=np.full_like(runs.min_separation, np.nan)
+            ))
+            store._conn.execute(
+                "UPDATE records SET runs_blob = ?, checksum = ?"
+                " WHERE campaign_id = ? AND scenario_index = 0",
+                (blob, hashlib.sha256(blob).hexdigest(), cid),
+            )
+            store._conn.commit()
+            report = store.verify()
+            assert [item.scenario_index for item in report.corrupt] == [0]
+            assert "non-finite min_separation" in report.corrupt[0].reason
+            assert store.verify(repair=True).repaired
+            assert [
+                row["scenario_index"] for row in store.quarantined()
+            ] == [0]
+            assert store.verify().ok
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,22 @@
 """Noise-tape megabatch kernel: bitwise equivalence and observability.
 
-The tentpole refactor pre-draws every scenario's disturbance and sensor
-noise into tapes and runs the decision/physics/observe phases on an
-array-namespace seam.  These tests pin the contract down:
+The megabatch kernel pre-draws every scenario's disturbance and sensor
+noise into tapes before running the decision/physics/observe phases.
+These tests pin the contract down:
 
 - the tape kernel is **bitwise identical** to the frozen pre-refactor
   implementation (:mod:`repro.sim.batch_reference`) and to the
   per-scenario :meth:`run` path, across every equipage × coordination ×
   substeps combination;
 - chunking cannot change a single bit;
-- the ``"vectorized-batch-gpu"`` backend degrades cleanly on a GPU-less
-  host: it warns, runs the CPU kernel, and produces identical digests;
+- the ``"vectorized-batch-gpu"`` alias builds the ``"vectorized-batch"``
+  backend, with identical digests and provenance;
 - :class:`~repro.sim.batch.KernelProfile` phase timings flow through
   ``Campaign.run(profile=True)`` into result-set (and store) metadata;
-- the distributed fleet advertises backend/accelerator capabilities.
+- the distributed fleet advertises its backend capabilities.
 """
 
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -30,17 +29,10 @@ from repro.encounters import (
     tail_approach_encounter,
 )
 from repro.experiments import Campaign, available_backends, make_backend
-from repro.experiments.backends import BackendSpec
 from repro.experiments.campaign import _execute_chunk
 from repro.sim.batch import KERNEL_PHASES, BatchEncounterSimulator, KernelProfile
 from repro.sim.batch_reference import reference_run_many
 from repro.sim.encounter import EncounterSimConfig
-from repro.sim.xp import (
-    NUMPY_NAMESPACE,
-    accelerator_available,
-    detect_accelerators,
-    get_namespace,
-)
 from repro.store import ResultStore, results_digest
 
 RESULT_FIELDS = (
@@ -114,122 +106,34 @@ class TestTapeKernelBitwise:
         for a, b in zip(whole, parts):
             assert_results_equal(a, b)
 
-    def test_explicit_numpy_namespace_is_default_path(
-        self, test_table, mixed_durations
-    ):
-        """Passing the host namespace explicitly changes nothing."""
-        sim = BatchEncounterSimulator(test_table)
-        seeds = [9 + i for i in range(len(mixed_durations))]
-        default = sim.run_many(mixed_durations, 4, seeds)
-        explicit = sim.run_many(
-            mixed_durations, 4, seeds, xp=NUMPY_NAMESPACE
-        )
-        for a, b in zip(default, explicit):
-            assert_results_equal(a, b)
-
 
 # ----------------------------------------------------------------------
-# Array-namespace seam
-# ----------------------------------------------------------------------
-class TestArrayNamespace:
-    def test_numpy_namespace(self):
-        ns = get_namespace("numpy")
-        assert ns.name == "numpy" and not ns.is_accelerated
-        arr = np.arange(3.0)
-        assert ns.asarray(arr) is arr
-        np.testing.assert_array_equal(ns.to_numpy(arr), arr)
-        ns.synchronize()  # no-op, must not raise
-
-    def test_auto_falls_back_to_numpy_without_device(self):
-        if accelerator_available():
-            pytest.skip("host has a real accelerator")
-        assert get_namespace("auto").name == "numpy"
-
-    def test_explicit_cupy_raises_without_device(self):
-        if accelerator_available():
-            pytest.skip("host has a real accelerator")
-        with pytest.raises(RuntimeError, match="cupy"):
-            get_namespace("cupy")
-
-    def test_jax_is_rejected_with_explanation(self):
-        with pytest.raises(RuntimeError, match="immutable"):
-            get_namespace("jax")
-
-    def test_unknown_device_rejected(self):
-        with pytest.raises(ValueError, match="unknown device"):
-            get_namespace("tpu")
-
-    def test_detection_report_covers_known_stacks(self):
-        report = detect_accelerators()
-        assert set(report) >= {"cupy", "jax"}
-        assert all(isinstance(status, str) for status in report.values())
-
-
-# ----------------------------------------------------------------------
-# The "vectorized-batch-gpu" backend
+# The "vectorized-batch-gpu" alias
 # ----------------------------------------------------------------------
 class TestGpuBackend:
     def test_registered(self):
         assert "vectorized-batch-gpu" in available_backends()
 
-    def test_gpu_less_host_warns_and_matches_cpu_kernel(
+    def test_alias_builds_the_megabatch_backend(
         self, test_table, mixed_durations
     ):
-        """No accelerator → warn once, run the CPU kernel, same bits."""
-        if accelerator_available():
-            pytest.skip("host has a real accelerator")
-        with pytest.warns(RuntimeWarning, match="no usable accelerator"):
-            gpu = make_backend("vectorized-batch-gpu", table=test_table)
-        cpu = make_backend("vectorized-batch", table=test_table)
-        assert gpu.provenance_name == "vectorized-batch"
-        seeds = [31 + i for i in range(len(mixed_durations))]
-        for a, b in zip(
-            gpu.simulate_many(mixed_durations, 6, seeds),
-            cpu.simulate_many(mixed_durations, 6, seeds),
-        ):
-            assert_results_equal(a, b)
+        """The alias runs the same kernel and records its provenance."""
+        alias = make_backend("vectorized-batch-gpu", table=test_table)
+        assert alias.name == "vectorized-batch"
 
-    def test_campaign_digest_identical_to_cpu_backend(
-        self, test_table, mixed_durations
-    ):
-        """Fallback campaigns share provenance AND content digest."""
-        if accelerator_available():
-            pytest.skip("host has a real accelerator")
-        with pytest.warns(RuntimeWarning):
-            gpu_camp = Campaign(
-                mixed_durations, backend="vectorized-batch-gpu",
+        def campaign(backend):
+            return Campaign(
+                mixed_durations, backend=backend,
                 table=test_table, runs_per_scenario=8,
             )
-        cpu_camp = Campaign(
-            mixed_durations, backend="vectorized-batch",
-            table=test_table, runs_per_scenario=8,
+
+        assert campaign("vectorized-batch-gpu").backend_name == (
+            "vectorized-batch"
         )
-        assert gpu_camp.backend_name == "vectorized-batch"
-        rs_gpu = gpu_camp.run(seed=21)
-        rs_cpu = cpu_camp.run(seed=21)
-        assert results_digest(rs_gpu) == results_digest(rs_cpu)
-        assert rs_gpu.backend == rs_cpu.backend == "vectorized-batch"
-
-    def test_spec_round_trip_carries_device(self, test_table):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            backend = make_backend(
-                "vectorized-batch-gpu", table=test_table, device="auto"
-            )
-            spec = BackendSpec.capture(backend)
-            assert spec.backend == "vectorized-batch-gpu"
-            assert spec.device == "auto"
-            rebuilt = spec.build()
-        assert type(rebuilt).__name__ == "VectorizedBatchGpuBackend"
-        assert rebuilt.device == "auto"
-
-    def test_explicit_cupy_device_raises_without_hardware(self, test_table):
-        if accelerator_available():
-            pytest.skip("host has a real accelerator")
-        with pytest.raises(RuntimeError, match="cupy"):
-            make_backend(
-                "vectorized-batch-gpu", table=test_table, device="cupy"
-            )
+        rs_alias = campaign(alias).run(seed=21)
+        rs_cpu = campaign("vectorized-batch").run(seed=21)
+        assert results_digest(rs_alias) == results_digest(rs_cpu)
+        assert rs_alias.backend == rs_cpu.backend == "vectorized-batch"
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +184,7 @@ class TestKernelProfile:
         assert profile.calls == 1
         assert profile.scenarios == len(mixed_durations)
         assert profile.lanes == len(mixed_durations) * 5
-        assert profile.device == "numpy"
         assert profile.total > 0.0
-        assert profile.transfer == 0.0  # host kernel never transfers
         sim.run_many(mixed_durations, 5, seeds, profile=profile)
         assert profile.calls == 2
 
@@ -304,7 +206,6 @@ class TestKernelProfile:
         rs = campaign.run(seed=1, profile=True)
         payload = rs.metadata["kernel_profile"]
         assert set(KERNEL_PHASES) <= set(payload)
-        assert payload["device"] == "numpy"
         assert payload["scenarios"] == len(mixed_durations)
         assert payload["total"] > 0.0
 
@@ -378,8 +279,6 @@ class TestWorkerCapabilities:
     def test_worker_capabilities_shape(self):
         caps = worker_capabilities()
         assert "vectorized-batch-gpu" in caps["backends"]
-        assert isinstance(caps["accelerated"], bool)
-        assert set(caps["accelerators"]) >= {"cupy", "jax"}
 
     def test_advertise_and_read_back(self, tmp_path):
         path = tmp_path / "queue.sqlite"

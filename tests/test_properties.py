@@ -168,3 +168,33 @@ class TestBatchSimulatorProperties:
         diagonal = math.hypot(152.4, 30.48)
         if result.nmac.any():
             assert result.min_separation[result.nmac].min() <= diagonal
+
+
+class TestUnequippedTableIndependence:
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        scenarios=st.lists(encounter_params, min_size=1, max_size=3),
+        num_runs=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_unequipped_runs_ignore_the_logic_table(
+        self, tiny_table, test_table, scenarios, num_runs, seed
+    ):
+        # With nobody equipped no advisory is ever looked up, so which
+        # table the simulator holds cannot change a single bit.
+        seeds = [seed + i for i in range(len(scenarios))]
+        results = [
+            BatchEncounterSimulator(table, equipage="none").run_many(
+                scenarios, num_runs, seeds
+            )
+            for table in (tiny_table, test_table)
+        ]
+        for tiny, test in zip(*results):
+            for field in RESULT_FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(tiny, field), getattr(test, field)
+                )

@@ -226,6 +226,29 @@ class TestErrorPaths:
         assert "own_ground_speed must be finite" in response.json()["error"]
         assert store.campaigns() == []
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999", "0"])
+    def test_bad_timeout_is_400_and_stores_nothing(
+        self, client, store, literal
+    ):
+        # A NaN or infinite timeout would hold the handler thread in
+        # wait() forever; 1e999 overflows to inf when parsed.
+        body = json.dumps(UNEQUIPPED)[:-1] + f', "timeout": {literal}}}'
+        response = client.post("/campaigns", body=body.encode("utf-8"))
+        assert response.status == 400, literal
+        assert "error" in response.json()
+        assert store.campaigns() == []
+
+    def test_overflowing_genome_is_400_and_stores_nothing(
+        self, client, store
+    ):
+        genome = "[1e999, 0.0, 30.0, 50.0, 1.0, -10.0, 25.0, 2.5, 1.5]"
+        body = json.dumps({**UNEQUIPPED, "scenarios": []})
+        body = body.replace('"scenarios": []', f'"scenarios": [{genome}]')
+        response = client.post("/campaigns", body=body.encode("utf-8"))
+        assert response.status == 400
+        assert "out of range" in response.json()["error"]
+        assert store.campaigns() == []
+
     def test_malformed_body_is_400(self, client):
         assert client.post("/campaigns", body=b"{not json").status == 400
         assert client.post("/campaigns").status == 400  # empty body
