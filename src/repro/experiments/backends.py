@@ -18,7 +18,8 @@ estimation, the CLI — selects the trade-off with a single string
 backends register under their own key and become available everywhere
 at once.  ``"vectorized-batch-gpu"`` survives only as an alias that
 builds the ``"vectorized-batch"`` backend, so older invocations naming
-it still run (and record ``vectorized-batch``).  The ``"distributed"`` key is the multi-host dispatcher: a
+it still run (and record ``vectorized-batch``).  The ``"distributed"``
+key is the multi-host dispatcher: a
 :class:`~repro.distributed.backend.DistributedBackend` (registered
 lazily, so importing this module stays cheap) that carries a shared
 work-queue path, a result-store path and a fleet policy, and makes

@@ -903,8 +903,8 @@ class ResultStore:
         stored sha256 (torn write, bit-rot), fails to decode, decodes
         to the wrong run count, or holds non-finite separations (a
         record simulated from a NaN genome).  Legacy rows written before
-        checksums existed (``checksum IS NULL``) are verified by
-        decodability alone.
+        checksums existed (``checksum IS NULL``) skip only the checksum
+        comparison.
 
         With ``repair=True`` corrupt rows are **quarantined**: moved
         out of ``records`` into the ``quarantine`` table (reason +
