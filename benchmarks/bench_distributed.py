@@ -3,12 +3,13 @@
 Runs the acceptance workload (50 scenarios × 100 runs — the paper's GA
 evaluation shape) serially in-process, then through
 ``repro.distributed``: submit the campaign's chunks to a shared sqlite
-work queue and drain it with a 2-process worker fleet writing through a
-shared result store.  Records both runs via :func:`record_campaign`
-(so the timing lands in the shared store with ``cpu_count`` metadata —
-the single-core caveat stays self-describing) plus a dedicated speedup
-record, and asserts the collected result is bitwise identical to the
-serial run.
+work queue and drain it with a 2-process supervised worker fleet
+(:class:`~repro.distributed.FleetSupervisor`, what ``repro fleet``
+runs) writing through a shared result store.  Records both runs via
+:func:`record_campaign` (so the timing lands in the shared store with
+``cpu_count`` metadata — the single-core caveat stays
+self-describing) plus a dedicated speedup record, and asserts the
+collected result is bitwise identical to the serial run.
 
 On a single-core container the distributed path can at best match
 serial (and pays queue/store/process overhead on top); the record's
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from conftest import record_campaign, record_result
 
-from repro.distributed import run_workers, submit
+from repro.distributed import FleetSupervisor, submit
 from repro.encounters import StatisticalEncounterModel
 from repro.experiments import Campaign, SampledSource
 
@@ -59,8 +60,9 @@ def test_bench_distributed_vs_serial(fast_table, smoke):
         # One chunk per eventual worker so both fleet members get work.
         chunk_size=max(1, len(serial) // WORKERS),
     )
-    run_workers(queue_path, num_workers=WORKERS, lease_seconds=60,
-                poll_interval=0.05)
+    FleetSupervisor(
+        queue_path, workers=WORKERS, lease_seconds=60, poll_interval=0.05
+    ).run(timeout=600)
     final = run.wait(timeout=600, poll=0.1)
     distributed = run.collect()
     distributed_wall = time.perf_counter() - start
@@ -88,8 +90,8 @@ def test_bench_distributed_vs_serial(fast_table, smoke):
         f"(backend={serial.backend})\n"
         f"serial wall:       {serial.wall_time:.2f}s\n"
         f"distributed wall:  {distributed_wall:.2f}s "
-        f"({WORKERS} worker processes, sqlite queue + store, "
-        f"submit->drain->collect)\n"
+        f"({WORKERS} supervised worker subprocesses, sqlite queue + "
+        "store, submit->drain->collect)\n"
         f"speedup:           {serial.wall_time / distributed_wall:.2f}x\n"
         f"cpu count:         {cpu_count}\n"
         f"chunks:            {run.chunks_enqueued}\n"

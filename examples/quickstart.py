@@ -15,9 +15,9 @@ campaign API:
    would simulate);
 5. demonstrate distributed execution: submit the campaign to a shared
    work queue (nothing enqueues — the store already holds it), then
-   run a fresh campaign on a 2-process worker fleet through
-   ``DistributedExecutor`` and check it matches the in-process run
-   bit for bit;
+   submit a fresh campaign, drain it with a supervised 2-process
+   worker fleet (``FleetSupervisor``, what ``repro fleet`` runs),
+   collect it and check it matches the in-process run bit for bit;
 6. demonstrate the fleet as a *backend*: ``backend="distributed"``
    makes a single ``Campaign.run`` target an already-running external
    worker fleet — and when none is live (as here), an automatic
@@ -95,15 +95,14 @@ Workers claim chunks under heartbeated leases (a dead worker's chunk is
 reclaimed when its lease expires), build their backend once from the
 submitted spec, and drain records into the result store, whose
 ``(campaign, scenario)`` key makes at-least-once delivery harmless.
-``DistributedExecutor`` wraps the whole cycle behind the ``store=``
-seam, so ``Campaign.run`` / ``MonteCarloEstimator`` / ``SearchRunner``
-gain a worker fleet without any API change — and the ``"distributed"``
-backend key goes one step further: ``Campaign(backend="distributed",
+``FleetSupervisor`` runs a local fleet that restarts crashed workers
+and returns once the queue drains.  The ``"distributed"`` backend key
+wraps the whole cycle: ``Campaign(backend="distributed",
 backend_options={"queue": ..., "store": ...})`` (or the
 ``$REPRO_QUEUE``/``$REPRO_STORE`` environment variables) targets an
-already-running external fleet from a single ``run()`` call, falling
-back to an in-process worker when no fleet member is live.  From the
-shell::
+already-running external fleet from a single ``run()`` call — and so
+do ``MonteCarloEstimator`` and ``SearchRunner`` — falling back to an
+in-process worker when no fleet member is live.  From the shell::
 
     repro submit --sample 200 --runs 100 \\
         --queue queue.sqlite --store results.sqlite
@@ -187,7 +186,7 @@ from pathlib import Path
 
 from repro import (
     Campaign,
-    DistributedExecutor,
+    FleetSupervisor,
     ResultStore,
     build_logic_table,
     make_acas_pair,
@@ -254,13 +253,15 @@ def main() -> None:
     print(f"re-submit of step 2: enqueued {already_done.chunks_enqueued} "
           f"chunks ({already_done.already_stored} scenarios already "
           f"stored) — zero new simulations")
-    # A fresh seed exercises the fleet for real.  The executor plugs
-    # into the same store= seam, so MonteCarloEstimator / SearchRunner
-    # gain distributed execution the same way, unchanged.
-    executor = DistributedExecutor(queue_path, store.path, workers=2)
-    fleet = Campaign(
+    # A fresh seed exercises the fleet for real: submit, drain with a
+    # supervised 2-process fleet pinned to this campaign, collect.
+    run = Campaign(
         SCENARIOS, table=table, runs_per_scenario=RUNS
-    ).run(seed=7, store=executor)
+    ).submit(seed=7, queue=queue_path, store=store, chunk_size=1)
+    FleetSupervisor(
+        queue_path, workers=2, campaign_id=run.campaign_id
+    ).run(timeout=300)
+    fleet = run.collect()
     local = Campaign(
         SCENARIOS, table=table, runs_per_scenario=RUNS
     ).run(seed=7)
@@ -349,7 +350,6 @@ def main() -> None:
     # Plant a torn write with the deterministic chaos layer: the next
     # store write is truncated mid-blob, as a crash or bit-rot would.
     from repro import faults
-    from repro.distributed import FleetSupervisor
     from repro.faults import FaultPlan, FaultRule
 
     victim = baseline.records[0]

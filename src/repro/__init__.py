@@ -87,21 +87,18 @@ change a bit) in a sqlite work queue any number of workers share over
 a filesystem; workers claim chunks under heartbeated leases (dead
 workers' chunks are reclaimed on expiry), build their backend once
 from the submitted spec, and drain records into the result store,
-whose ``(campaign, scenario)`` key dedups at-least-once delivery::
+whose ``(campaign, scenario)`` key dedups at-least-once delivery.
+Submit now, run the workers anywhere, collect later — here with a local
+self-healing fleet (``repro fleet``), which restarts crashed workers
+and returns once the queue drains::
 
-    from repro import Campaign, DistributedExecutor
+    from repro import Campaign, FleetSupervisor
 
-    executor = DistributedExecutor("queue.sqlite", "results.sqlite",
-                                   workers=4)
-    results = Campaign(..., table=table).run(seed=0, store=executor)
-    # bitwise identical to the in-process run; MonteCarloEstimator /
-    # SearchRunner accept the executor through store= unchanged
-
-or asynchronously — submit now, run workers anywhere, collect later::
-
-    run = Campaign(...).submit(seed=0, queue="queue.sqlite",
-                               store="results.sqlite")
-    run.wait(); results = run.collect()   # == serial run, bit for bit
+    run = Campaign(..., table=table).submit(
+        seed=0, queue="queue.sqlite", store="results.sqlite")
+    FleetSupervisor("queue.sqlite", workers=4,
+                    campaign_id=run.campaign_id).run(timeout=600)
+    results = run.collect()   # == the serial run, bit for bit
 
 Fleets are also a first-class **backend**: with ``repro worker``
 processes already running anywhere the queue file is reachable, a
@@ -244,8 +241,8 @@ from repro.experiments import (
 )
 from repro.distributed import (
     DistributedBackend,
-    DistributedExecutor,
     DistributedRun,
+    FleetSupervisor,
     Worker,
     WorkQueue,
 )
@@ -280,12 +277,12 @@ __all__ = [
     "Campaign",
     "CampaignSpec",
     "DistributedBackend",
-    "DistributedExecutor",
     "DistributedRun",
     "EncounterFitness",
     "EncounterParameters",
     "EncounterSimConfig",
     "ExplicitSource",
+    "FleetSupervisor",
     "GAConfig",
     "GeneticAlgorithm",
     "GenomeSource",

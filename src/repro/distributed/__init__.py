@@ -18,15 +18,16 @@ This package closes the loop:
   chunks, simulate them through the exact megabatch path, drain
   records into the :class:`~repro.store.ResultStore` (duplicate
   delivery dedups), heartbeat the lease while simulating;
-- :mod:`repro.distributed.coordinator` — :func:`submit` (plan a
-  campaign into chunks with pre-spawned seeds; re-submitting a
-  completed campaign enqueues nothing), :class:`DistributedRun`
+- :mod:`repro.distributed.coordinator` — :func:`submit` (enqueue
+  the chunks of :meth:`Campaign.plan <repro.experiments.Campaign.plan>`
+  with their pre-spawned seeds; re-submitting a completed campaign
+  enqueues nothing) and :class:`DistributedRun`
   (``wait``/``iter_progress``/``collect`` — the collected
   :class:`~repro.experiments.ResultSet` is bitwise identical to a
-  serial storeless run), and :class:`DistributedExecutor`, which plugs
-  the whole cycle into the experiment stack's existing ``store=`` seam
-  (``Campaign.run(store=executor)``, ``MonteCarloEstimator``,
-  ``SearchRunner``).
+  serial storeless run);
+- :mod:`repro.distributed.supervisor` — :class:`FleetSupervisor`, a
+  local fleet of worker subprocesses that restarts crashed workers
+  and stops when the queue drains (``repro fleet``).
 
 Fleets are also a first-class *backend*:
 :mod:`repro.distributed.backend`'s :class:`DistributedBackend` sits in
@@ -44,10 +45,8 @@ collects finished chunks and orphaned job rows, and ``repro campaign
 """
 
 from repro.distributed.coordinator import (
-    DistributedExecutor,
     DistributedRun,
     Progress,
-    run_workers,
     submit,
 )
 from repro.distributed.queue import (
@@ -78,7 +77,6 @@ __all__ = [
     "ChunkState",
     "ClaimedChunk",
     "DistributedBackend",
-    "DistributedExecutor",
     "DistributedRun",
     "EXIT_HEARTBEAT_DEAD",
     "FleetReport",
@@ -93,6 +91,5 @@ __all__ = [
     "WorkerStats",
     "WorkQueue",
     "default_worker_id",
-    "run_workers",
     "submit",
 ]

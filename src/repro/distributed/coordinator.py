@@ -1,10 +1,10 @@
 """Coordinator side of distributed campaigns: submit, track, collect.
 
-:func:`submit` plans a :class:`~repro.experiments.Campaign` into chunk
-tasks using the campaign's own planner — the per-scenario
-``SeedSequence`` children are spawned **before** submission, exactly as
-a serial run would spawn them, so which worker (or host) executes a
-scenario cannot affect a single output bit.  The campaign is registered
+:func:`submit` enqueues the chunks of
+:meth:`Campaign.plan <repro.experiments.Campaign.plan>` — the plan every
+serial run uses, with the per-scenario ``SeedSequence`` children spawned
+**before** submission — so which worker (or host) executes a scenario
+cannot affect a single output bit.  The campaign is registered
 in the :class:`~repro.store.ResultStore` under its content-addressed
 provenance hash, already-stored scenarios are filtered out of the
 submitted chunks (re-submitting a completed campaign enqueues nothing
@@ -19,16 +19,16 @@ serial storeless run of the same campaign and seed, because every
 record round-trips losslessly and every scenario's bits derive only
 from its own pre-spawned seed.
 
-:class:`DistributedExecutor` packages the whole submit → work → collect
-cycle behind the experiment stack's existing ``store=`` seam: pass one
-to ``Campaign.run(store=...)`` (or to ``MonteCarloEstimator`` /
-``SearchRunner`` / ``EncounterFitness``, which forward it unchanged)
-and the campaign executes on a worker fleet instead of in-process.
+Workers run elsewhere: ``repro worker`` processes on any host that
+reaches the queue file, or a local
+:class:`~repro.distributed.supervisor.FleetSupervisor` (``repro
+fleet``), which restarts crashed workers.  The whole submit → work →
+collect cycle behind one ``Campaign.run`` call is the ``"distributed"``
+backend (:mod:`repro.distributed.backend`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
@@ -38,14 +38,9 @@ from typing import Iterator, List, Optional, Union
 
 from repro import telemetry
 from repro.distributed.queue import ChunkCounts, WorkQueue
-from repro.distributed.worker import Worker, WorkerStats
 from repro.experiments.backends import BackendSpec
-from repro.experiments.campaign import (
-    Campaign,
-    ResultSet,
-    _fingerprint_of,
-)
-from repro.store import CampaignSpec, ResultStore
+from repro.experiments.campaign import Campaign, ResultSet
+from repro.store import ResultStore
 
 QueueLike = Union[str, Path, WorkQueue]
 StoreLike = Union[str, Path, ResultStore]
@@ -305,13 +300,14 @@ def submit(
 ) -> DistributedRun:
     """Plan *campaign* into chunk tasks and enqueue the missing ones.
 
-    Planning is exactly the serial planner: the root seed spawns one
-    child per scenario before anything is enqueued, so placement across
-    workers cannot affect results.  The campaign registers in the store
-    under its content-addressed id; scenarios the store already holds
-    are filtered out (a re-submitted completed campaign enqueues
-    nothing), and submission is idempotent per campaign id — a second
-    submit while chunks are in flight re-enqueues nothing.
+    Planning is :meth:`Campaign.plan`, the serial planner: the root
+    seed spawns one child per scenario before anything is enqueued, so
+    placement across workers cannot affect results.  The campaign
+    registers in the store under its content-addressed id; scenarios
+    the store already holds are filtered out (a re-submitted completed
+    campaign enqueues nothing), and submission is idempotent per
+    campaign id — a second submit while chunks are in flight
+    re-enqueues nothing.
 
     The campaign's backend must be registry-built (capturable as a
     :class:`~repro.experiments.backends.BackendSpec`): the queue ships
@@ -335,37 +331,25 @@ def submit(
                 f"spec can be shipped to workers: {error}"
             ) from None
 
-        from repro.util.rng import as_seed_sequence
-
-        root = as_seed_sequence(seed)
         with telemetry.span("campaign.plan"):
-            # Fingerprint before planning spawns from the sequence (the
-            # identity rule Campaign.run follows).
-            seed_fp = _fingerprint_of(root)
-            scenario_list, chunks, _ = campaign._plan(root, 1, chunk_size)
-            spec = CampaignSpec.capture(
-                campaign, scenario_list, root, seed_fp=seed_fp
-            )
-
+            plan = campaign.plan(seed, chunk_size)
         with ResultStore(store_path) as result_store:
-            campaign_id = result_store.open_campaign(spec)
-            done = result_store.completed_indices(campaign_id)
+            campaign_id, done, missing = plan.open(result_store)
+        num_scenarios = len(plan.scenarios)
         submit_span.set(
-            campaign_id=campaign_id, num_scenarios=len(scenario_list),
+            campaign_id=campaign_id, num_scenarios=num_scenarios,
             already_stored=len(done),
         )
 
         # Ship only missing work; names travel with the params because
         # workers never see the scenario list.
-        payloads: List[bytes] = []
-        for chunk in chunks:
-            remaining = [
-                (index, scenario_list[index].name, params, child)
+        payloads: List[bytes] = [
+            pickle.dumps([
+                (index, plan.scenarios[index].name, params, child)
                 for index, params, child in chunk
-                if index not in done
-            ]
-            if remaining:
-                payloads.append(pickle.dumps(remaining))
+            ])
+            for chunk in missing
+        ]
 
         # Trace propagation rides the *job* metadata, never the spec:
         # the campaign id and digest of a traced run must stay bitwise
@@ -402,7 +386,7 @@ def submit(
                     store_path,
                     pickle.dumps(backend_spec),
                     campaign.runs_per_scenario,
-                    len(scenario_list),
+                    num_scenarios,
                     payloads,
                     metadata=metadata,
                 )
@@ -415,216 +399,9 @@ def submit(
         campaign_id=campaign_id,
         queue_path=queue_path,
         store_path=store_path,
-        num_scenarios=len(scenario_list),
+        num_scenarios=num_scenarios,
         already_stored=len(done),
         chunks_enqueued=enqueued,
         trace_parent=submit_span.span_id,
     )
 
-
-def _worker_main(
-    queue_path: str,
-    lease_seconds: float,
-    poll_interval: float,
-    campaign_id: Optional[str],
-    skew_margin: float,
-) -> None:
-    """Entry point of a spawned local worker process (drain and exit)."""
-    Worker(
-        queue_path,
-        lease_seconds=lease_seconds,
-        poll_interval=poll_interval,
-        campaign_id=campaign_id,
-        skew_margin=skew_margin,
-    ).run()
-
-
-def run_workers(
-    queue: QueueLike,
-    num_workers: int = 2,
-    lease_seconds: float = 60.0,
-    poll_interval: float = 0.1,
-    campaign_id: Optional[str] = None,
-    skew_margin: float = 0.0,
-) -> None:
-    """Spawn *num_workers* local worker processes and join them.
-
-    Each worker drains the queue (claims until every chunk is done or
-    failed) and exits; *campaign_id* pins the fleet to one campaign's
-    chunks, so shared queues with other in-flight jobs neither feed
-    this fleet unrelated work nor keep it waiting on unrelated leases.
-    The building block behind :class:`DistributedExecutor`; multi-host
-    deployments run ``repro worker`` on each host instead.
-    """
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
-    queue_path = _queue_path(queue)
-    processes = [
-        multiprocessing.Process(
-            target=_worker_main,
-            args=(queue_path, lease_seconds, poll_interval, campaign_id,
-                  skew_margin),
-        )
-        for _ in range(num_workers)
-    ]
-    for process in processes:
-        process.start()
-    for process in processes:
-        process.join()
-
-
-class DistributedExecutor:
-    """Distributed execution behind the experiment stack's ``store=`` seam.
-
-    An executor bundles a queue path, a store path, and a local worker
-    fleet size.  Passing one anywhere a
-    :class:`~repro.store.ResultStore` is accepted —
-    ``Campaign.run(store=executor)``,
-    ``MonteCarloEstimator(store=executor)``,
-    ``SearchRunner(store=executor)`` — makes every campaign submit to
-    the queue, execute on workers, and collect from the store, with the
-    same bits as an in-process run.
-
-    Parameters
-    ----------
-    queue:
-        Shared work-queue database path (or an open queue).
-    store:
-        Shared result-store path (or an open store) workers drain into.
-    workers:
-        Local worker processes spawned per campaign.  ``0`` runs a
-        single in-process worker instead (useful under debuggers), and
-        is also the setting for pure submit-side coordinators whose
-        workers run elsewhere (combine with ``external_workers=True``).
-    external_workers:
-        When ``True``, spawn nothing and just wait for an external
-        fleet (``repro worker`` processes on any host sharing the
-        filesystem) to drain the campaign.
-    wait_timeout:
-        Upper bound on waiting for campaign completion.
-    supervised:
-        When ``True``, the local fleet runs under a
-        :class:`~repro.distributed.supervisor.FleetSupervisor`
-        (worker subprocesses restarted on crash, crash-loop
-        detection) instead of fire-and-forget processes.
-    """
-
-    def __init__(
-        self,
-        queue: QueueLike,
-        store: StoreLike,
-        workers: int = 2,
-        lease_seconds: float = 60.0,
-        poll_interval: float = 0.05,
-        chunk_size: Optional[int] = None,
-        external_workers: bool = False,
-        wait_timeout: Optional[float] = None,
-        supervised: bool = False,
-    ):
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        self.queue_path = _queue_path(queue)
-        self.store_path = _store_path(store)
-        self.workers = workers
-        self.lease_seconds = lease_seconds
-        self.poll_interval = poll_interval
-        self.chunk_size = chunk_size
-        self.external_workers = external_workers
-        self.wait_timeout = wait_timeout
-        self.supervised = supervised
-
-    def __repr__(self) -> str:
-        return (
-            f"DistributedExecutor(queue={self.queue_path!r}, "
-            f"store={self.store_path!r}, workers={self.workers})"
-        )
-
-    def submit(
-        self, campaign: Campaign, seed=None, chunk_size: Optional[int] = None
-    ) -> DistributedRun:
-        """Submit without executing (the fleet runs elsewhere)."""
-        return submit(
-            campaign,
-            seed,
-            queue=self.queue_path,
-            store=self.store_path,
-            chunk_size=chunk_size or self.chunk_size,
-        )
-
-    def run_campaign(
-        self,
-        campaign: Campaign,
-        seed=None,
-        chunk_size: Optional[int] = None,
-    ) -> ResultSet:
-        """Submit, execute on the worker fleet, and collect.
-
-        The ``store=`` seam's entry point: ``Campaign.run`` delegates
-        here when its *store* argument is an executor.  The returned
-        :class:`ResultSet` is bitwise identical to the serial storeless
-        run of the same campaign and seed; its metadata carries the
-        ``campaign_id`` / ``loaded`` / ``simulated`` keys the store
-        plumbing reports everywhere else, plus the fleet size.
-        """
-        start = time.perf_counter()
-        fleet_span = telemetry.span(
-            "campaign.fleet",
-            workers="external" if self.external_workers else self.workers,
-        )
-        with fleet_span:
-            run = self.submit(campaign, seed, chunk_size=chunk_size)
-            fleet_span.set(campaign_id=run.campaign_id)
-            if run.simulated and not self.external_workers:
-                self._drive_workers(run.campaign_id)
-            run.wait(timeout=self.wait_timeout, poll=self.poll_interval)
-            results = run.collect()
-        results.metadata["distributed_workers"] = (
-            "external" if self.external_workers else self.workers
-        )
-        results.wall_time = time.perf_counter() - start
-        results.workers = max(self.workers, 1)
-        return results
-
-    def _drive_workers(self, campaign_id: str) -> None:
-        """Run the local fleet until *this campaign's* chunks drain.
-
-        The fleet is pinned to the campaign it was spawned for: on a
-        shared queue it must neither execute other jobs' chunks nor
-        wait for other jobs' leases.
-        """
-        if self.workers == 0:
-            Worker(
-                self.queue_path,
-                lease_seconds=self.lease_seconds,
-                poll_interval=self.poll_interval,
-                campaign_id=campaign_id,
-            ).run()
-            return
-        if self.supervised:
-            from repro.distributed.supervisor import FleetSupervisor
-
-            FleetSupervisor(
-                self.queue_path,
-                workers=self.workers,
-                campaign_id=campaign_id,
-                lease_seconds=self.lease_seconds,
-                poll_interval=self.poll_interval,
-            ).run(timeout=self.wait_timeout)
-            return
-        run_workers(
-            self.queue_path,
-            num_workers=self.workers,
-            lease_seconds=self.lease_seconds,
-            poll_interval=self.poll_interval,
-            campaign_id=campaign_id,
-        )
-        # Belt and braces: if a fleet member was killed while holding a
-        # lease, the survivors may have exited before it expired.  A
-        # final inline drain reclaims and finishes any such remainder
-        # (and returns immediately when the fleet drained cleanly).
-        Worker(
-            self.queue_path,
-            lease_seconds=self.lease_seconds,
-            poll_interval=self.poll_interval,
-            campaign_id=campaign_id,
-        ).run()

@@ -1,9 +1,10 @@
 """`FleetSupervisor`: a self-healing local worker fleet.
 
-``run_workers`` (the coordinator's fleet) assumes its processes live
-until the queue drains; a worker that segfaults, gets OOM-killed, or
-exits with :data:`~repro.distributed.worker.EXIT_HEARTBEAT_DEAD` just
-leaves the fleet one worker short.  The supervisor closes that gap: it
+A bare worker process is assumed to live until the queue drains; a
+worker that segfaults, gets OOM-killed, or exits with
+:data:`~repro.distributed.worker.EXIT_HEARTBEAT_DEAD` just leaves the
+fleet one worker short.  The supervisor closes that gap — it is the
+one local fleet of the package, and what ``repro fleet`` runs: it
 spawns ``repro worker`` **subprocesses**, watches them (exit codes,
 plus the queue's own heartbeat table for live-but-wedged workers), and
 
@@ -131,7 +132,7 @@ class FleetSupervisor:
         Number of worker slots (concurrently live worker processes).
     campaign_id:
         Pin every worker to one campaign's chunks (what
-        ``repro fleet --campaign`` and the supervised executor use).
+        ``repro fleet --campaign`` uses).
     lease_seconds / poll_interval / skew_margin:
         Forwarded to each worker process.
     restart_backoff / backoff_factor / max_backoff:

@@ -1,6 +1,10 @@
 """The distributed :class:`Worker`: claim chunks, simulate, drain to store.
 
-A worker is one process's share of a distributed campaign.  Its loop:
+A worker is one process's share of a distributed campaign.  Workers
+run as ``repro worker`` processes on any host, as the subprocesses of
+a :class:`~repro.distributed.supervisor.FleetSupervisor` (``repro
+fleet``), or in-process as the ``"distributed"`` backend's fallback.
+Its loop:
 
 1. :meth:`~repro.distributed.queue.WorkQueue.claim` one chunk (lease-
    based: chunks abandoned by dead workers become claimable again when
@@ -219,9 +223,9 @@ class Worker:
         claimable.
     campaign_id:
         When set, the worker claims (and waits on) only this
-        campaign's chunks — the scoping
-        :class:`~repro.distributed.DistributedExecutor` uses so its
-        fleet neither executes unrelated queued work nor blocks on
+        campaign's chunks — the scoping the ``"distributed"``
+        backend's fallback worker and ``repro fleet --campaign`` use,
+        so they neither execute unrelated queued work nor block on
         another campaign's leases.
     skew_margin:
         Extra seconds beyond a lease's stamped expiry before this

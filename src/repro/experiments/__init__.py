@@ -15,7 +15,9 @@ package expresses it declaratively:
 - :mod:`repro.experiments.campaign` — the :class:`Campaign` object
   (scenarios × backend × equipage × runs) with deterministic serial,
   process-parallel or streaming (:meth:`Campaign.iter_records`)
-  execution and :class:`ResultSet` export.
+  execution and :class:`ResultSet` export; :meth:`Campaign.plan`
+  resolves a campaign against a root seed into a :class:`CampaignPlan`,
+  the one place its content-addressed identity is computed.
 
 Everything downstream — GA fitness, Monte-Carlo estimation, the CLI —
 executes through this API, so sharding, persistence and new workloads
@@ -33,7 +35,12 @@ from repro.experiments.backends import (
     make_backend,
     register_backend,
 )
-from repro.experiments.campaign import Campaign, ResultSet, RunRecord
+from repro.experiments.campaign import (
+    Campaign,
+    CampaignPlan,
+    ResultSet,
+    RunRecord,
+)
 from repro.experiments.scenario import (
     PRESETS,
     ExplicitSource,
@@ -53,6 +60,7 @@ __all__ = [
     "AgentBackend",
     "BackendSpec",
     "Campaign",
+    "CampaignPlan",
     "ExplicitSource",
     "GenomeSource",
     "PresetSource",

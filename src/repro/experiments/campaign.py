@@ -32,6 +32,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
@@ -56,7 +57,7 @@ from repro.sim.encounter import EncounterSimConfig
 from repro.util.rng import SeedLike, as_seed_sequence
 
 if TYPE_CHECKING:  # import cycle: repro.store persists these classes
-    from repro.store import ResultStore
+    from repro.store import CampaignSpec, ResultStore
 
 #: CSV column order of :meth:`ResultSet.to_csv`.
 CSV_FIELDS: Tuple[str, ...] = (
@@ -487,6 +488,56 @@ class Campaign:
         except (TypeError, ValueError) as error:
             raise ValueError(str(error)) from None
 
+    def plan(
+        self,
+        seed: SeedLike = None,
+        chunk_size: Optional[int] = None,
+        workers: int = 1,
+    ) -> "CampaignPlan":
+        """Resolve this campaign against a root seed, eagerly.
+
+        The one place the identity rule is applied: the root sequence
+        is fingerprinted *before* anything spawns from it (spawning
+        advances its counter, and the same object at a later state is
+        a different experiment), then split into a sampling stream the
+        scenario source draws from and a run stream that spawns one
+        child per scenario.  :meth:`run`, :meth:`iter_records`, the
+        distributed coordinator and the campaign service all plan
+        here, so they agree on the campaign id and on every bit.
+
+        *workers* only sizes the default chunks (so every worker gets
+        work); chunking never changes a result.  Invalid arguments
+        raise ``ValueError`` here, at the call site.
+        """
+        from repro.store import seed_fingerprint
+
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
+        root = as_seed_sequence(seed)
+        seed_fp = seed_fingerprint(root)
+        sample_seq, run_seq = root.spawn(2)
+        scenarios = self.source.scenarios(
+            seed=np.random.default_rng(sample_seq)
+        )
+        if not scenarios:
+            raise ValueError("scenario source produced no scenarios")
+        seeds = run_seq.spawn(len(scenarios))
+        work = [
+            (i, scenario.params, child)
+            for i, (scenario, child) in enumerate(zip(scenarios, seeds))
+        ]
+        if chunk_size is None:
+            chunk_size = _default_chunk_size(
+                self.backend, self.runs_per_scenario, len(work), workers
+            )
+        chunks = [
+            work[start:start + chunk_size]
+            for start in range(0, len(work), chunk_size)
+        ]
+        return CampaignPlan(self, root, seed_fp, scenarios, seeds, chunks)
+
     def iter_records(
         self,
         seed: SeedLike = None,
@@ -527,142 +578,66 @@ class Campaign:
             before it is yielded (so an interrupted stream keeps its
             progress), and the yielded sequence — stored and fresh
             records merged in index order — is bitwise identical to a
-            storeless run of the same seed.  A
-            :class:`~repro.distributed.DistributedExecutor` is accepted
-            here too: the campaign then executes on its worker fleet
-            (``workers`` is ignored; the fleet is the parallelism) and
-            the records stream from the collected result.
+            storeless run of the same seed.
 
-        Like the executor seam, a campaign built with
-        ``backend="distributed"`` executes on its fleet and iterates
-        the *collected* result — the full campaign completes (and is
-        held in memory) before the first record is yielded.  For
-        bounded-memory streaming of very large campaigns, use an
-        in-process backend.
+        A campaign built with ``backend="distributed"`` executes on its
+        fleet and iterates the *collected* result — the full campaign
+        completes (and is held in memory) before the first record is
+        yielded.  For bounded-memory streaming of very large
+        campaigns, use an in-process backend.
         """
-        if hasattr(store, "run_campaign"):  # DistributedExecutor seam
-            return iter(
-                store.run_campaign(self, seed=seed, chunk_size=chunk_size)
-                .records
-            )
         if hasattr(self.backend, "run_campaign"):  # "distributed" backend
-            self._check_backend_store(store)
             return iter(
-                self.backend.run_campaign(
-                    self, seed=seed, chunk_size=chunk_size
-                ).records
+                self.run(seed=seed, chunk_size=chunk_size, store=store).records
             )
-        root = as_seed_sequence(seed)
-        seed_fp = None if store is None else _fingerprint_of(root)
-        scenario_list, chunks, workers = self._plan(root, workers, chunk_size)
-        if store is None:
-            return self._iter_planned(scenario_list, chunks, workers)
-        plan = self._store_plan(store, scenario_list, chunks, root, seed_fp)
-        return self._iter_stored(store, plan, scenario_list, workers)
+        plan, workers, opened = self._prepare(seed, workers, chunk_size, store)
+        return self._records(store, plan, workers, opened)
 
-    def _store_plan(
-        self,
-        store: "ResultStore",
-        scenario_list: List,
-        chunks: List[WorkChunk],
-        root: np.random.SeedSequence,
-        seed_fp: Optional[str],
-    ) -> "_StorePlan":
-        """Register the campaign and split work into done vs missing."""
-        from repro.store import CampaignSpec
+    def _prepare(self, seed: SeedLike, workers: int, chunk_size, store):
+        """The preamble :meth:`run` and :meth:`iter_records` share.
 
-        # The full sequence (fingerprinted at entry), not just its
-        # entropy: spawned children share entropy and differ only in
-        # spawn_key, and each must be its own campaign.
-        spec = CampaignSpec.capture(self, scenario_list, root, seed_fp=seed_fp)
-        campaign_id = store.open_campaign(spec)
-        done = store.completed_indices(campaign_id)
-        missing = [
-            remaining
-            for chunk in chunks
-            if (remaining := [item for item in chunk if item[0] not in done])
-        ]
-        return _StorePlan(
-            campaign_id=campaign_id,
-            done=sorted(done),
-            missing_chunks=missing,
-        )
-
-    def _iter_stored(
-        self,
-        store: "ResultStore",
-        plan: "_StorePlan",
-        scenario_list: List,
-        workers: int,
-    ) -> Iterator[RunRecord]:
-        """Merge stored records with the fresh simulation stream.
-
-        Both sides ascend in scenario index, so a two-way merge yields
-        the complete campaign in index order; fresh records are
-        persisted before being yielded.  Stored records are fetched by
-        point lookup (never a cursor held across our own inserts).
+        Plans eagerly (bad arguments fail at the call site, not at a
+        generator's first step) and, with a *store*, registers the
+        campaign there.  Returns ``(plan, workers, opened)``: *workers*
+        clamped to the chunk count, and *opened* the
+        :meth:`CampaignPlan.open` triple, or ``None`` without a store.
         """
-        done = deque(plan.done)
+        plan = self.plan(seed, chunk_size, workers)
+        opened = None if store is None else plan.open(store)
+        return plan, min(workers, len(plan.chunks)), opened
+
+    def _records(
+        self, store, plan: "CampaignPlan", workers: int, opened
+    ) -> Iterator[RunRecord]:
+        """Execute *plan*, merging in what *store* already holds.
+
+        Stored and fresh records both ascend in scenario index, so a
+        two-way merge yields the complete campaign in index order;
+        fresh records are persisted before being yielded.  Stored
+        records are fetched by point lookup (never a cursor held
+        across our own inserts).
+        """
+        if opened is None:
+            yield from self._iter_planned(plan.scenarios, plan.chunks, workers)
+            return
+        campaign_id, done, missing = opened
+        done = deque(done)
 
         def stored_upto(bound: Optional[int]) -> Iterator[RunRecord]:
             while done and (bound is None or done[0] < bound):
-                record = store.get_record(plan.campaign_id, done.popleft())
+                record = store.get_record(campaign_id, done.popleft())
                 assert record is not None, "stored record vanished mid-run"
                 yield record
 
-        if plan.missing_chunks:
+        if missing:
             fresh = self._iter_planned(
-                scenario_list,
-                plan.missing_chunks,
-                min(workers, len(plan.missing_chunks)),
+                plan.scenarios, missing, min(workers, len(missing))
             )
             for record in fresh:
                 yield from stored_upto(record.index)
-                store.add_record(plan.campaign_id, record)
+                store.add_record(campaign_id, record)
                 yield record
         yield from stored_upto(None)
-
-    def _plan(
-        self,
-        seed: SeedLike,
-        workers: int,
-        chunk_size: Optional[int],
-    ) -> Tuple[List, List[WorkChunk], int]:
-        """Validate arguments and fix the execution plan, eagerly.
-
-        Returns ``(scenario_list, chunks, workers)`` with the worker
-        count clamped to the chunk count (the parallelism actually
-        usable).  Shared by :meth:`run` and :meth:`iter_records` so the
-        chunking decision is made exactly once, and so invalid
-        arguments fail at the call site rather than at first iteration
-        of a generator.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        root = as_seed_sequence(seed)
-        sample_seq, run_seq = root.spawn(2)
-        scenario_list = self.source.scenarios(
-            seed=np.random.default_rng(sample_seq)
-        )
-        if not scenario_list:
-            raise ValueError("scenario source produced no scenarios")
-        children = run_seq.spawn(len(scenario_list))
-
-        work = [
-            (i, scenario.params, child)
-            for i, (scenario, child) in enumerate(zip(scenario_list, children))
-        ]
-        if chunk_size is None:
-            chunk_size = _default_chunk_size(
-                self.backend, self.runs_per_scenario, len(work), workers
-            )
-        chunks = [
-            work[start:start + chunk_size]
-            for start in range(0, len(work), chunk_size)
-        ]
-        return scenario_list, chunks, min(workers, len(chunks))
 
     def _iter_planned(
         self,
@@ -751,15 +726,11 @@ class Campaign:
         ``cpu_count`` — so persisted timing records are
         self-describing.
 
-        *store* also accepts a
-        :class:`~repro.distributed.DistributedExecutor`: the campaign
-        is then submitted to its shared work queue, executed by its
-        worker fleet (``workers`` is ignored — the fleet is the
-        parallelism), and collected from its store, bitwise identical
-        to the in-process run.  Every consumer of the ``store=`` seam
-        (:class:`~repro.montecarlo.MonteCarloEstimator`,
-        :class:`~repro.search.SearchRunner`) inherits distributed
-        execution the same way.
+        A campaign built with ``backend="distributed"`` runs on that
+        backend's worker fleet instead (``workers`` is ignored — the
+        fleet is the parallelism) and is collected from its store,
+        bitwise identical to the in-process run; *store* may then only
+        name the backend's own store file.
 
         With ``profile=True`` and a megabatch backend, the kernel's
         per-phase wall-clock breakdown (tape draw / decision / physics /
@@ -768,11 +739,8 @@ class Campaign:
         flows through.  Profiling is in-process only: with ``workers >
         1`` (or a backend without kernel timers) the metadata instead
         carries an honest ``{"unsupported": reason}`` note.  Fleet runs
-        (the ``store=``-executor and ``"distributed"`` seams above)
         ignore the flag.
         """
-        if hasattr(store, "run_campaign"):  # DistributedExecutor seam
-            return store.run_campaign(self, seed=seed, chunk_size=chunk_size)
         if hasattr(self.backend, "run_campaign"):  # "distributed" backend
             # A fleet-native backend owns the whole submit → await →
             # collect cycle (its queue/store paths and fleet policy
@@ -787,12 +755,10 @@ class Campaign:
             "campaign.run", backend=self.backend_name, workers=workers
         )
         with run_span:
-            root = as_seed_sequence(seed)
-            seed_fp = None if store is None else _fingerprint_of(root)
-            scenario_list, chunks, workers = self._plan(
-                root, workers, chunk_size
+            plan, workers, opened = self._prepare(
+                seed, workers, chunk_size, store
             )
-            run_span.set(scenarios=len(scenario_list), workers=workers)
+            run_span.set(scenarios=len(plan.scenarios), workers=workers)
             metadata: Dict[str, object] = {"cpu_count": os.cpu_count()}
             if (os.cpu_count() or 1) <= 1:
                 # Timings recorded on a single-core host cannot show
@@ -801,37 +767,26 @@ class Campaign:
                 # regression.
                 metadata["single_cpu_caveat"] = True
             kernel_profile = self._start_profile(profile, workers, metadata)
-            if store is None:
-                records = list(
-                    self._iter_planned(scenario_list, chunks, workers)
-                )
-            else:
-                plan = self._store_plan(
-                    store, scenario_list, chunks, root, seed_fp
-                )
-                run_span.set(
-                    campaign_id=plan.campaign_id, loaded=len(plan.done)
-                )
-                records = list(
-                    self._iter_stored(store, plan, scenario_list, workers)
-                )
-                if plan.missing_chunks:
+            records = list(self._records(store, plan, workers, opened))
+            if opened is not None:
+                campaign_id, done, missing = opened
+                run_span.set(campaign_id=campaign_id, loaded=len(done))
+                if missing:
                     # Only runs that simulated contribute wall time (and
                     # their worker count): a pure-load resume must not
                     # inflate the stored timing record.
                     store.add_wall_time(
-                        plan.campaign_id,
+                        campaign_id,
                         time.perf_counter() - start,
                         cpu_count=os.cpu_count(),
                     )
                     store.merge_metadata(
-                        plan.campaign_id,
-                        {"workers": min(workers, len(plan.missing_chunks))},
+                        campaign_id, {"workers": min(workers, len(missing))}
                     )
                 metadata.update(
-                    campaign_id=plan.campaign_id,
-                    loaded=len(plan.done),
-                    simulated=len(scenario_list) - len(plan.done),
+                    campaign_id=campaign_id,
+                    loaded=len(done),
+                    simulated=len(plan.scenarios) - len(done),
                 )
             if kernel_profile is not None:
                 metadata["kernel_profile"] = kernel_profile.to_dict()
@@ -841,7 +796,7 @@ class Campaign:
             equipage=self.equipage,
             coordination=self.coordination,
             runs_per_scenario=self.runs_per_scenario,
-            seed_entropy=_entropy_of(root),
+            seed_entropy=_entropy_of(plan.root),
             workers=workers,
             wall_time=time.perf_counter() - start,
             metadata=metadata,
@@ -946,12 +901,55 @@ class Campaign:
 
 
 @dataclass(frozen=True)
-class _StorePlan:
-    """A campaign's work split against a store: done vs still missing."""
+class CampaignPlan:
+    """A campaign resolved against one root seed (:meth:`Campaign.plan`).
 
-    campaign_id: str
-    done: List[int]
-    missing_chunks: List[WorkChunk]
+    Holds everything that fixes the campaign's bits and identity: the
+    root sequence and its fingerprint (taken before any spawn), the
+    resolved scenarios, their per-scenario seeds and the execution
+    chunks.  The :class:`~repro.store.CampaignSpec` — and with it
+    ``campaign_id`` — is captured on first use only: it hashes the
+    logic table, which a storeless run never needs.
+    """
+
+    campaign: Campaign
+    root: np.random.SeedSequence
+    seed_fp: str
+    scenarios: List[Scenario]
+    seeds: List[np.random.SeedSequence]
+    chunks: List[WorkChunk]
+
+    @cached_property
+    def spec(self) -> "CampaignSpec":
+        """The content-addressed description of this planned campaign."""
+        from repro.store import CampaignSpec
+
+        return CampaignSpec.capture(
+            self.campaign, self.scenarios, self.root, seed_fp=self.seed_fp
+        )
+
+    @property
+    def campaign_id(self) -> str:
+        """The campaign's content-addressed identity."""
+        return self.spec.campaign_id
+
+    def open(
+        self, store: "ResultStore", metadata: Optional[dict] = None
+    ) -> Tuple[str, List[int], List[WorkChunk]]:
+        """Register the campaign in *store*; split done from missing work.
+
+        Returns ``(campaign_id, done, missing_chunks)``: the sorted
+        scenario indices *store* already holds, and the chunks with
+        those scenarios removed (chunks left empty are dropped).
+        """
+        campaign_id = store.open_campaign(self.spec, metadata=metadata)
+        done = store.completed_indices(campaign_id)
+        missing = [
+            remaining
+            for chunk in self.chunks
+            if (remaining := [item for item in chunk if item[0] not in done])
+        ]
+        return campaign_id, sorted(done), missing
 
 
 def _entropy_of(seq: np.random.SeedSequence) -> Optional[int]:
@@ -961,9 +959,3 @@ def _entropy_of(seq: np.random.SeedSequence) -> Optional[int]:
         return int(entropy)
     return None
 
-
-def _fingerprint_of(seq: np.random.SeedSequence) -> str:
-    """Snapshot the root sequence's store identity before spawning."""
-    from repro.store import seed_fingerprint
-
-    return seed_fingerprint(seq)

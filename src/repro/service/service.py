@@ -35,12 +35,9 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro import faults, telemetry
-from repro.experiments.campaign import (
-    Campaign,
-    _fingerprint_of,
-)
-from repro.store import CampaignSpec, ResultStore
-from repro.util.rng import as_seed_sequence
+from repro.experiments.campaign import Campaign, CampaignPlan
+from repro.sim.batch import decision_count
+from repro.store import ResultStore
 
 #: Bounded retry for queued submissions racing a busy fleet: attempts
 #: and base backoff for transient sqlite lock errors.  A submission
@@ -49,6 +46,13 @@ from repro.util.rng import as_seed_sequence
 #: not merely under churn.
 SUBMIT_RETRIES = 4
 SUBMIT_BACKOFF = 0.05
+
+#: Lane-decisions (lanes × decisions) one chunk of a submission may
+#: claim.  Chunking never splits a scenario's runs, and the megabatch
+#: noise tape holds about 42 doubles per lane-decision at the default
+#: 5 physics substeps, so this keeps one chunk's tape under ~1 GiB
+#: (3e6 × 42 × 8 B ≈ 0.94 GiB).
+MAX_CHUNK_LANE_DECISIONS = 3_000_000
 
 
 def _service_config(preset: str):
@@ -62,6 +66,31 @@ def _service_config(preset: str):
     raise ValueError(
         f"unknown table preset {preset!r} (use 'test' or 'paper')"
     )
+
+
+def _check_admission(plan: CampaignPlan) -> None:
+    """Reject a plan any chunk of which would exceed the memory budget.
+
+    Raises ``ValueError`` (a 400 over HTTP) naming the first chunk over
+    :data:`MAX_CHUNK_LANE_DECISIONS`.  Called before anything is
+    registered or enqueued, so a rejected request leaves no trace.
+    """
+    campaign = plan.campaign
+    for number, chunk in enumerate(plan.chunks):
+        lanes = len(chunk) * campaign.runs_per_scenario
+        decisions = max(
+            decision_count(params, campaign.backend.config)
+            for _, params, _ in chunk
+        )
+        if lanes * decisions > MAX_CHUNK_LANE_DECISIONS:
+            raise ValueError(
+                f"chunk {number} (scenarios {chunk[0][0]}-{chunk[-1][0]}) "
+                f"needs {lanes} lanes x {decisions} decisions = "
+                f"{lanes * decisions:,} lane-decisions, over the "
+                f"per-chunk budget of {MAX_CHUNK_LANE_DECISIONS:,} "
+                '(~1 GiB of noise tape); submit a smaller "chunk_size" '
+                'or fewer "runs", or shorten "time_to_cpa"'
+            )
 
 
 def _timeout_seconds(value) -> float:
@@ -257,12 +286,14 @@ class CampaignService:
             sim_config=self.sim_config,
             ignore=self.ENVELOPE_KEYS,
         )
+        plan = campaign.plan(seed, chunk_size)
+        _check_admission(plan)
 
         with telemetry.span("service.submit") as submit_span, self._lock:
             if self.queue_path is not None:
                 receipt = self._submit_queued(campaign, seed, chunk_size, label)
             else:
-                receipt = self._submit_inline(campaign, seed, chunk_size, label)
+                receipt = self._submit_inline(plan, seed, chunk_size, label)
             submit_span.set(
                 campaign_id=receipt["campaign_id"], mode=receipt["mode"]
             )
@@ -335,27 +366,19 @@ class CampaignService:
             "label": label,
         }
 
-    def _submit_inline(self, campaign, seed, chunk_size, label) -> dict:
+    def _submit_inline(self, plan, seed, chunk_size, label) -> dict:
         """Register the campaign and run its missing tail on a thread.
 
-        Mirrors the coordinator's identity rule exactly: fingerprint
-        the root seed *before* planning spawns from it, so the
-        campaign id (and every bit of every record) matches
-        ``Campaign.run`` with the same spec and seed.
+        The campaign id is *plan*'s, so it (and every bit of every
+        record) matches ``Campaign.run`` with the same spec and seed.
         """
-        root = as_seed_sequence(seed)
-        seed_fp = _fingerprint_of(root)
-        scenario_list, _chunks, _ = campaign._plan(root, 1, chunk_size)
-        spec = CampaignSpec.capture(
-            campaign, scenario_list, root, seed_fp=seed_fp
-        )
-        campaign_id = self.store.open_campaign(
-            spec, metadata={"label": label} if label else None
+        campaign_id, done, _ = plan.open(
+            self.store, metadata={"label": label} if label else None
         )
         if label:
             self.store.merge_metadata(campaign_id, {"label": label})
-        already = len(self.store.completed_indices(campaign_id))
-        num_scenarios = len(scenario_list)
+        already = len(done)
+        num_scenarios = len(plan.scenarios)
         existing = self._submissions.get(campaign_id)
         if already >= num_scenarios:
             mode = "complete"
@@ -368,7 +391,9 @@ class CampaignService:
             mode = "inline"
             self._spawn(
                 f"repro-service-run-{campaign_id[:8]}",
-                lambda: self._run_inline(campaign, seed, chunk_size, campaign_id),
+                lambda: self._run_inline(
+                    plan.campaign, seed, chunk_size, campaign_id
+                ),
             )
         self._register(campaign_id, mode, label)
         return {

@@ -134,6 +134,17 @@ class KernelProfile:
         return "\n".join(lines)
 
 
+def decision_count(params: EncounterParameters, config) -> int:
+    """Avoidance decisions one run of *params* takes under *config*.
+
+    Same rounding as ``SimulationEngine.run``, including its
+    at-least-one-decision floor, so the agent and batch paths step in
+    lockstep.  A chunk's noise tape is sized by its largest count.
+    """
+    duration = params.time_to_cpa + config.extra_duration
+    return max(1, int(round(duration / config.decision_dt)))
+
+
 class _NoiseTapes(NamedTuple):
     """Decision-major pre-drawn noise for one ``run_many`` invocation.
 
@@ -527,10 +538,7 @@ class BatchEncounterSimulator:
             np.logical_or(nmac, nmac_now, out=nmac)
 
         observe()
-        duration = params.time_to_cpa + config.extra_duration
-        # Same rounding as SimulationEngine.run, including its at-least-
-        # one-decision floor, to keep the two paths step-for-step equal.
-        num_decisions = max(1, int(round(duration / config.decision_dt)))
+        num_decisions = decision_count(params, config)
         sub_dt = config.decision_dt / config.physics_substeps
 
         own_equipped = self.equipage in ("both", "own-only")
@@ -742,9 +750,7 @@ class BatchEncounterSimulator:
 
         num_decisions = np.empty(num_scenarios, dtype=np.int64)
         for s, params in enumerate(params_list):
-            duration = params.time_to_cpa + config.extra_duration
-            # Same rounding (and at-least-one-decision floor) as run().
-            num_decisions[s] = max(1, int(round(duration / config.decision_dt)))
+            num_decisions[s] = decision_count(params, config)
 
         # Process scenarios internally in descending-duration order
         # (stable, so equal durations keep their input order).  With the

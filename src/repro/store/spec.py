@@ -57,8 +57,8 @@ def seed_fingerprint(seed) -> str:
     covers entropy (as decimal strings — never float), the spawn key,
     the pool size, and the spawn *counter* (re-using one sequence
     object spawns different children each time, so the same object at
-    a later state is a different experiment).  Campaigns fingerprint
-    their root sequence on entry, before planning spawns from it.
+    a later state is a different experiment).  ``Campaign.plan``
+    fingerprints the root sequence before it spawns from it.
     """
     seq = as_seed_sequence(seed)
     entropy = seq.entropy
@@ -191,7 +191,7 @@ class CampaignSpec:
         campaign's actual root sequence so the identity covers its
         spawn key, not just its entropy.  *seed_fp* overrides the
         fingerprint when the caller snapshotted it before spawning
-        from the sequence (what :meth:`Campaign.run` does).
+        from the sequence (what ``Campaign.plan`` does).
         """
         backend = campaign.backend
         seq = as_seed_sequence(seed)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.distributed import (
-    DistributedExecutor,
+    FleetSupervisor,
     Worker,
     WorkQueue,
     submit,
@@ -296,10 +296,10 @@ class TestDistributedExecution:
             queue=queue_path, store=store_path, chunk_size=1,
         )
         assert run.chunks_enqueued == SCENARIOS
-        from repro.distributed import run_workers
-
-        run_workers(queue_path, num_workers=2, lease_seconds=10,
-                    poll_interval=0.02)
+        report = FleetSupervisor(
+            queue_path, workers=2, lease_seconds=10, poll_interval=0.02
+        ).run(timeout=60)
+        assert report.drained
         final = run.wait(timeout=30, poll=0.05)
         assert final.complete
         collected = run.collect()
@@ -404,71 +404,14 @@ class TestFaultInjection:
 
 
 # ----------------------------------------------------------------------
-# The store= seam: executor through Campaign / MonteCarloEstimator
+# Fleet seams: the "distributed" backend on a shared queue, a supervised
+# process fleet, and submit/worker path handling
 # ----------------------------------------------------------------------
 class TestDistributedExecutorSeam:
-    def test_campaign_run_accepts_executor(self, paths):
-        queue_path, store_path = paths
-        serial = make_campaign().run(seed=SEED)
-        executor = DistributedExecutor(
-            queue_path, store_path, workers=0, poll_interval=0.02
-        )
-        distributed = make_campaign().run(seed=SEED, store=executor)
-        assert_bitwise_equal(serial, distributed)
-        meta = distributed.metadata
-        assert meta["simulated"] == SCENARIOS
-        assert meta["loaded"] == 0
-        assert "campaign_id" in meta
-        assert meta["distributed_workers"] == 0
-        # A second run loads everything from the store.
-        rerun = make_campaign().run(seed=SEED, store=executor)
-        assert rerun.metadata["loaded"] == SCENARIOS
-        assert rerun.metadata["simulated"] == 0
-        assert_bitwise_equal(serial, rerun)
-
-    def test_campaign_iter_records_accepts_executor(self, paths):
-        queue_path, store_path = paths
-        serial = list(make_campaign().iter_records(seed=SEED))
-        executor = DistributedExecutor(
-            queue_path, store_path, workers=0, poll_interval=0.02
-        )
-        streamed = list(
-            make_campaign().iter_records(seed=SEED, store=executor)
-        )
-        assert [r.index for r in streamed] == [r.index for r in serial]
-        for ra, rb in zip(serial, streamed):
-            for field in RUN_FIELDS:
-                assert (
-                    getattr(ra.runs, field) == getattr(rb.runs, field)
-                ).all()
-
-    def test_montecarlo_accepts_executor_unchanged(self, paths, tiny_table):
-        queue_path, store_path = paths
-        model = StatisticalEncounterModel()
-        plain = MonteCarloEstimator(
-            tiny_table, model, runs_per_encounter=2
-        ).estimate(3, seed=5)
-        executor = DistributedExecutor(
-            queue_path, store_path, workers=0, poll_interval=0.02
-        )
-        distributed = MonteCarloEstimator(
-            tiny_table, model, runs_per_encounter=2, store=executor
-        ).estimate(3, seed=5)
-        assert distributed.summary() == plain.summary()
-        assert_bitwise_equal(
-            plain.equipped_results, distributed.equipped_results
-        )
-        assert_bitwise_equal(
-            plain.unequipped_results, distributed.unequipped_results
-        )
-        # Both arms landed in the shared store under distinct ids.
-        with ResultStore(store_path) as store:
-            assert len(store.campaigns()) == 2
-
     def test_executor_fleet_is_scoped_to_its_campaign(self, paths):
         """A shared queue with unrelated in-flight work must not feed
-        the executor's fleet other jobs' chunks, nor block its exit on
-        their leases."""
+        the distributed backend's fallback worker other jobs' chunks,
+        nor block its completion on their leases."""
         queue_path, store_path = paths
         # An unrelated job: one chunk claimed by an external worker
         # under a long (live) lease, one chunk pending.
@@ -481,14 +424,15 @@ class TestDistributedExecutorSeam:
                 "external", lease_seconds=3600, campaign_id="unrelated"
             ) is not None
 
-        executor = DistributedExecutor(
-            queue_path, store_path, workers=0, poll_interval=0.02
-        )
         serial = make_campaign().run(seed=SEED)
         start = time.time()
-        distributed = make_campaign().run(seed=SEED, store=executor)
+        distributed = make_campaign(
+            backend="distributed",
+            backend_options=fleet_options(queue_path, store_path),
+        ).run(seed=SEED)
         assert time.time() - start < 30  # not waiting out the 1h lease
         assert_bitwise_equal(serial, distributed)
+        assert distributed.metadata["distributed_fallback"] is True
         # The unrelated job is untouched: its pending chunk was never
         # claimed (a scoped worker would have choked on the fake spec).
         with WorkQueue(queue_path) as queue:
@@ -531,15 +475,26 @@ class TestDistributedExecutorSeam:
 
     @pytest.mark.slow
     def test_executor_with_process_fleet(self, paths):
+        """A supervised 2-process fleet drains what the distributed
+        backend submitted; its run() then only collects."""
         queue_path, store_path = paths
         serial = make_campaign().run(seed=SEED)
-        executor = DistributedExecutor(
-            queue_path, store_path, workers=2,
-            lease_seconds=10, poll_interval=0.02, chunk_size=1,
+        campaign = make_campaign(
+            backend="distributed",
+            backend_options=fleet_options(queue_path, store_path),
         )
-        distributed = make_campaign().run(seed=SEED, store=executor)
+        run = campaign.submit(seed=SEED, chunk_size=1)
+        assert run.chunks_enqueued == SCENARIOS
+        report = FleetSupervisor(
+            queue_path, workers=2, campaign_id=run.campaign_id,
+            lease_seconds=10, poll_interval=0.02,
+        ).run(timeout=60)
+        assert report.drained
+        distributed = campaign.run(seed=SEED)
         assert_bitwise_equal(serial, distributed)
-        assert distributed.metadata["distributed_workers"] == 2
+        assert distributed.metadata["distributed_workers"] == "fleet"
+        assert distributed.metadata["distributed_fallback"] is False
+        assert distributed.metadata["loaded"] == SCENARIOS
 
 
 # ----------------------------------------------------------------------
@@ -1027,6 +982,9 @@ class TestDistributedBackend:
         assert_bitwise_equal(
             plain.unequipped_results, distributed.unequipped_results
         )
+        # Both arms landed in the shared store under distinct ids.
+        with ResultStore(store_path) as store:
+            assert len(store.campaigns()) == 2
 
     @pytest.mark.slow
     def test_live_two_worker_fleet_no_fallback(self, paths):

@@ -219,14 +219,13 @@ class TestBackendSpec:
         with pytest.raises(TypeError, match="not a registered backend"):
             BackendSpec.capture(Custom())
 
-    def test_capture_rejects_protocol_only_backend(self):
+    def test_capture_rejects_protocol_only_backend(self, monkeypatch):
         # A registered backend satisfying only the SimulationBackend
         # protocol (name + simulate) carries no construction surface to
         # capture; it must raise TypeError so parallel campaigns fall
         # back to pickling the instance instead of crashing.
-        from repro.experiments import register_backend
+        from repro.experiments import backends
 
-        @register_backend("protocol-only-test")
         class Minimal:
             name = "protocol-only-test"
 
@@ -236,6 +235,9 @@ class TestBackendSpec:
             def simulate(self, params, num_runs, seed=None):
                 raise NotImplementedError
 
+        # Registered for this test only: a leaked entry would show up
+        # in every later test that iterates the registry.
+        monkeypatch.setitem(backends._REGISTRY, Minimal.name, Minimal)
         with pytest.raises(TypeError, match="missing construction"):
             BackendSpec.capture(Minimal())
 

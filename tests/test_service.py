@@ -249,6 +249,32 @@ class TestErrorPaths:
         assert "out of range" in response.json()["error"]
         assert store.campaigns() == []
 
+    def test_long_time_to_cpa_is_400_and_stores_nothing(
+        self, client, store
+    ):
+        # ~1e7 decisions per run: one chunk's noise tape would need
+        # gigabytes, so admission refuses it before registering.
+        genome = [30.0, 0.0, 1e7, 50.0, 1.0, -10.0, 25.0, 2.5, 1.5]
+        response = client.post(
+            "/campaigns", json_body={**UNEQUIPPED, "scenarios": [genome]}
+        )
+        assert response.status == 400
+        error = response.json()["error"]
+        assert "chunk 0" in error and "lane-decisions" in error
+        assert "time_to_cpa" in error
+        assert store.campaigns() == []
+
+    def test_unbounded_runs_is_400_and_stores_nothing(self, client, store):
+        # Chunking never splits a scenario's runs, so 1e7 runs of one
+        # scenario is one chunk of 1e7 lanes.
+        response = client.post(
+            "/campaigns", json_body={**UNEQUIPPED, "runs": 10**7}
+        )
+        assert response.status == 400
+        error = response.json()["error"]
+        assert "chunk 0" in error and '"runs"' in error
+        assert store.campaigns() == []
+
     def test_malformed_body_is_400(self, client):
         assert client.post("/campaigns", body=b"{not json").status == 400
         assert client.post("/campaigns").status == 400  # empty body

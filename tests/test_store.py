@@ -20,7 +20,7 @@ from repro.experiments import Campaign, ResultSet, SampledSource
 from repro.montecarlo import MonteCarloEstimator
 from repro.search.ga import GAConfig
 from repro.search.runner import SearchRunner
-from repro.store import CampaignSpec, ResultStore
+from repro.store import ResultStore
 
 
 @pytest.fixture
@@ -58,8 +58,7 @@ def assert_records_identical(a: ResultSet, b: ResultSet) -> None:
 
 class TestCampaignSpec:
     def _spec(self, campaign, seed):
-        scenario_list, _, _ = campaign._plan(seed, 1, None)
-        return CampaignSpec.capture(campaign, scenario_list, seed)
+        return campaign.plan(seed).spec
 
     def test_identity_is_stable(self, test_table):
         a = self._spec(make_campaign(test_table), 7)

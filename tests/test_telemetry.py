@@ -250,10 +250,11 @@ class TestFleetTracing:
             make_campaign(4), SEED,
             queue=queue_path, store=store_path, chunk_size=1,
         )
-        from repro.distributed import run_workers
+        from repro.distributed import FleetSupervisor
 
-        run_workers(queue_path, num_workers=2, lease_seconds=10,
-                    poll_interval=0.02)
+        assert FleetSupervisor(
+            queue_path, workers=2, lease_seconds=10, poll_interval=0.02
+        ).run(timeout=60).drained
         assert run.wait(timeout=30, poll=0.05).complete
         with WorkQueue(queue_path) as queue:
             samples = queue.fleet_metric_samples()
