@@ -12,8 +12,12 @@ and asserts the results stay **bitwise identical** while doing so.
 Two records land under ``benchmarks/results/``:
 
 - ``kernel_tape_speedup``: interleaved best-of-N wall clocks for the
-  frozen reference and the tape kernel, with the speedup ratio (the
-  acceptance bar is 1.3x on this container) and the single-CPU caveat;
+  frozen reference (one chunk call, and one call per scenario) and the
+  tape kernel, with both speedup ratios, their floors and the
+  single-CPU caveat.  The per-scenario ratio is the megabatch gate: it
+  measures what batching scenarios buys against a baseline that does
+  not move with the kernel (``run()`` is a one-scenario kernel call,
+  so it moves with the kernel and cannot be that baseline);
 - ``kernel_phase_profile``: the per-phase breakdown (tape draw /
   decision / physics / observe) from a profiled
   ``Campaign.run(profile=True)``, persisted through
@@ -48,6 +52,13 @@ KERNEL_REPS = 7
 #: reference on the full workload.
 MIN_SPEEDUP = 1.3
 
+#: Wall-clock floor the tape kernel must clear over the frozen
+#: reference called once per scenario.  It replaces the old ">= 3x
+#: over the per-scenario ``run()`` loop" campaign gate: the reference
+#: loop measured 1.27-1.50x slower than that old loop (2 CPUs, best of
+#: 7), so 3x there is 3.8-4.5x here, and 5.0 is at least as strict.
+MIN_PER_SCENARIO_SPEEDUP = 5.0
+
 
 def _workload(smoke):
     model = StatisticalEncounterModel()
@@ -69,18 +80,25 @@ def test_bench_kernel_tape_speedup(fast_table, smoke):
     reference_run_many(sim, scenarios[:3], 5, seeds[:3])
 
     reps = 2 if smoke else KERNEL_REPS
-    ref_times, tape_times = [], []
+    ref_times, per_scenario_times, tape_times = [], [], []
     for _ in range(reps):
         start = time.perf_counter()
         ref_results = reference_run_many(sim, scenarios, runs, seeds)
         ref_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        per_scenario_results = [
+            reference_run_many(sim, [params], runs, [seed])[0]
+            for params, seed in zip(scenarios, seeds)
+        ]
+        per_scenario_times.append(time.perf_counter() - start)
         start = time.perf_counter()
         tape_results = sim.run_many(scenarios, runs, seeds)
         tape_times.append(time.perf_counter() - start)
 
     identical = all(
         np.array_equal(getattr(a, field), getattr(b, field))
-        for a, b in zip(tape_results, ref_results)
+        for baseline in (ref_results, per_scenario_results)
+        for a, b in zip(tape_results, baseline)
         for field in (
             "min_separation",
             "min_horizontal",
@@ -90,19 +108,26 @@ def test_bench_kernel_tape_speedup(fast_table, smoke):
         )
     )
     ref_best, tape_best = min(ref_times), min(tape_times)
+    per_scenario_best = min(per_scenario_times)
     speedup = ref_best / tape_best
+    per_scenario_speedup = per_scenario_best / tape_best
     record_result(
         "kernel_tape_speedup",
         f"workload:            {len(scenarios)} scenarios x {runs} runs\n"
         f"inline-draw (frozen reference) best of {reps}: {ref_best:.3f}s\n"
+        f"frozen reference per scenario  best of {reps}: "
+        f"{per_scenario_best:.3f}s\n"
         f"noise-tape kernel              best of {reps}: {tape_best:.3f}s\n"
         f"speedup:             {speedup:.2f}x (floor {MIN_SPEEDUP}x)\n"
+        f"per-scenario speedup: {per_scenario_speedup:.2f}x "
+        f"(floor {MIN_PER_SCENARIO_SPEEDUP}x)\n"
         f"bitwise identical:   {identical}\n"
         + single_cpu_note(),
     )
     assert identical
     if not smoke:
         assert speedup >= MIN_SPEEDUP
+        assert per_scenario_speedup >= MIN_PER_SCENARIO_SPEEDUP
 
 
 def test_bench_kernel_phase_profile(fast_table, smoke):

@@ -10,8 +10,10 @@ wall-clock timing) under ``benchmarks/results/``.
 Two dedicated speedup records cover the acceptance-critical numbers:
 
 - ``campaign_megabatch_speedup``: the megabatch backend against the
-  per-scenario vectorized fast path on a 50-scenario × 100-run
-  campaign (the paper's GA evaluation shape);
+  per-scenario vectorized backend on a 50-scenario × 100-run campaign
+  (the paper's GA evaluation shape).  Both call the same kernel, so
+  this record is not gated; the megabatch gate lives in
+  ``bench_batch_kernel.py``, against the frozen reference;
 - ``campaign_parallel_speedup``: serial versus a fixed 4-worker
   process pool on the same workload, with the pool's per-worker
   backend built once from a picklable spec.  The record notes the
@@ -109,8 +111,6 @@ def test_bench_campaign_megabatch_speedup(fast_table, smoke):
         + single_cpu_note(),
     )
     assert identical
-    if not smoke:
-        assert speedup >= 3.0
 
 
 def test_bench_campaign_parallel_speedup(fast_table, smoke):

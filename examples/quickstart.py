@@ -46,17 +46,19 @@ campaign API:
 **Choosing a backend.**  ``Campaign(backend=...)`` selects one of the
 registered simulation backends.  Measured on a 50-scenario × 100-run
 campaign (the paper's GA-evaluation shape, test-resolution table,
-single core; regenerate with ``pytest benchmarks/bench_campaign.py``
-and ``pytest benchmarks/bench_batch_kernel.py``):
+serial; regenerate with ``pytest benchmarks/bench_campaign.py`` and
+``pytest benchmarks/bench_batch_kernel.py``):
 
 - ``"agent"``            — one faithful agent-based simulation per run:
-  96.7 s.  Full scrutiny: traces, advisory timelines.
-- ``"vectorized"``       — all runs of one scenario advance as one
-  NumPy array: 2.4 s.
+  96.7 s (single core).  Full scrutiny: traces, advisory timelines.
+- ``"vectorized"``       — the megabatch kernel called one scenario at
+  a time, all runs of that scenario advancing as one NumPy array:
+  1.5 s (best of 5, 2 CPUs).
 - ``"vectorized-batch"`` — whole chunks of scenarios flattened into a
   single lane array, with every scenario's disturbance/sensor noise
   pre-drawn into tapes (the megabatch path, default everywhere):
-  0.59 s — ~1.3x over the pre-tape kernel on this single-core box.
+  0.49 s (best of 5, 2 CPUs) — ~1.7x over the frozen pre-tape kernel,
+  and ~5.4x over that kernel called once per scenario.
 - ``"vectorized-batch-gpu"`` — an alias kept so older invocations
   still run: it builds the ``"vectorized-batch"`` backend above, with
   identical results and provenance.

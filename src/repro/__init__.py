@@ -40,21 +40,22 @@ Quickstart::
 
 **Choosing a backend.**  Three registered backends trade fidelity
 scrutiny for speed; measured on the paper's GA-evaluation shape (a
-50-scenario × 100-run campaign, test-resolution table, single core —
-regenerate with ``pytest benchmarks/bench_campaign.py``):
+50-scenario × 100-run campaign, test-resolution table, serial; agent
+on a single core, the others best of 5 on 2 CPUs — regenerate with
+``pytest benchmarks/bench_campaign.py``):
 
 ================== ========================================== =========
 backend            simulation granularity                     wall time
 ================== ========================================== =========
 ``agent``          one Python simulation per run (faithful)      96.7 s
-``vectorized``     all runs of one scenario as one array          2.4 s
-``vectorized-batch`` whole chunks of scenarios as one             0.67 s
+``vectorized``     the megabatch kernel, one scenario per call    1.5 s
+``vectorized-batch`` whole chunks of scenarios as one             0.49 s
                    flattened lane array (megabatch)
 ================== ========================================== =========
 
-``vectorized-batch`` (the default everywhere) replays the exact noise
-streams of ``vectorized``, so all three agree — the first two bitwise,
-the agent engine statistically (tests enforce both).  For campaigns too
+``vectorized-batch`` (the default everywhere) and ``vectorized`` run
+the same kernel on the same per-scenario noise streams, so all three
+agree — those two bitwise, the agent engine statistically (tests enforce both).  For campaigns too
 large to hold in memory, ``Campaign.iter_records`` streams the same
 records chunk by chunk.
 

@@ -63,6 +63,7 @@ from repro.experiments.backends import (
     available_backends,
     make_backend,
 )
+from repro.experiments.campaign import _execute_chunk
 from repro.sim.batch import BatchResult
 from repro.sim.encounter import EncounterSimConfig
 from repro.store import ResultStore
@@ -277,19 +278,13 @@ class DistributedBackend:
         """Bulk in-process simulation.
 
         Always present (so campaign planning sizes wide chunks — fewer
-        queue tasks per campaign), but the inner backend may not
-        implement the bulk protocol itself: then the chunk runs
-        scenario by scenario, which produces the same bits — each
-        scenario's result derives only from its own seed.
+        queue tasks per campaign); the inner backend runs the chunk the
+        way a campaign would, in bulk or scenario by scenario, with the
+        same bits either way.
         """
-        inner = self._local_backend()
-        bulk = getattr(inner, "simulate_many", None)
-        if bulk is not None:
-            return bulk(params_list, num_runs, seeds)
-        return [
-            inner.simulate(params, num_runs, seed=seed)
-            for params, seed in zip(params_list, seeds)
-        ]
+        chunk = list(zip(range(len(params_list)), params_list, seeds))
+        outcomes = _execute_chunk(self._local_backend(), num_runs, chunk)
+        return [result for _, result in outcomes]
 
     # ------------------------------------------------------------------
     # Campaign delegation (the seam Campaign.run/iter_records use)

@@ -147,6 +147,8 @@ class _LeaseHeartbeat(threading.Thread):
             min(lease_seconds / 3.0, DEFAULT_WORKER_TTL / 3.0), 0.02
         )
         self._stop_event = threading.Event()
+        #: Set once the first beat has run (or the thread has ended).
+        self._first_beat = threading.Event()
         self.lost = False
         #: Traceback text if the thread died on an exception.
         self.error: Optional[str] = None
@@ -177,18 +179,23 @@ class _LeaseHeartbeat(threading.Thread):
                         ):
                             self.lost = True
                             return
+                    self._first_beat.set()
                     if self._stop_event.wait(self._interval):
                         return
         except Exception:
             self.error = traceback.format_exc()
+        finally:
+            self._first_beat.set()
 
     @property
     def dead(self) -> bool:
         """Died without a verdict: neither stopped nor lease-lost.
 
         A heartbeat that exited any other way left the worker flying
-        blind — its lease decays with nobody renewing it.
+        blind — its lease decays with nobody renewing it.  Waits (at
+        most one lease) for the first beat, so a fast chunk is judged too.
         """
+        self._first_beat.wait(self._lease_seconds)
         if self.error is not None:
             return True
         return (

@@ -1,14 +1,15 @@
 """Pluggable simulation backends behind a string-keyed registry.
 
-The library has three ways to simulate the N stochastic runs of an
+The library has two simulators for the N stochastic runs of an
 encounter: the faithful agent-based engine (:func:`repro.sim.encounter.
-run_encounter`, one Python-level simulation per run), the vectorized
-NumPy fast path (:class:`repro.sim.batch.BatchEncounterSimulator`, all
-runs of one scenario advance simultaneously), and the megabatch path
-(its :meth:`~repro.sim.batch.BatchEncounterSimulator.run_many`, which
-flattens whole *chunks of scenarios* into one lane array and produces
-bitwise-identical per-scenario results).  They trade fidelity scrutiny
-for speed; dedicated tests keep them equivalent.
+run_encounter`, one Python-level simulation per run) and the NumPy
+megabatch kernel (:meth:`repro.sim.batch.BatchEncounterSimulator.
+run_many`, which flattens whole *chunks of scenarios* into one lane
+array).  The kernel is reached two ways: one scenario per call
+(``"vectorized"``) or one chunk per call (``"vectorized-batch"``), with
+bitwise-identical per-scenario results.  The agent engine trades speed
+for fidelity scrutiny; dedicated tests keep it statistically
+equivalent.
 
 This module puts all of them behind one :class:`SimulationBackend`
 interface so every consumer — campaigns, GA fitness, Monte-Carlo
@@ -227,7 +228,7 @@ class AgentBackend:
 
 @register_backend("vectorized")
 class VectorizedBackend:
-    """The NumPy fast path: all runs of one scenario advance together."""
+    """The megabatch kernel called one scenario (all its runs) at a time."""
 
     name = "vectorized"
 
@@ -285,22 +286,14 @@ class VectorizedBatchBackend(VectorizedBackend):
     def enable_profiling(self) -> KernelProfile:
         """Attach a :class:`~repro.sim.batch.KernelProfile` to the kernel.
 
-        Every subsequent :meth:`simulate`/:meth:`simulate_many` call
+        Every subsequent :meth:`simulate_many` call (the path every
+        campaign chunk takes, single-scenario chunks included)
         accumulates its per-phase timings (tape draw, decision, physics,
-        observe) into the returned profile, so one profile
-        object covers a whole chunked campaign.
+        observe) into the returned profile, so one profile object covers
+        a whole chunked campaign.
         """
         self.kernel_profile = KernelProfile()
         return self.kernel_profile
-
-    def simulate(
-        self,
-        params: EncounterParameters,
-        num_runs: int,
-        seed: SeedLike = None,
-    ) -> BatchResult:
-        """Run one scenario through the megabatch machinery."""
-        return self.simulate_many([params], num_runs, [seed])[0]
 
     def simulate_many(
         self,

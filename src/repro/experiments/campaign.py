@@ -306,7 +306,7 @@ def _execute_chunk(
     if not chunk:
         return []
     bulk = getattr(backend, "simulate_many", None)
-    if bulk is not None and len(chunk) > 1:
+    if bulk is not None:
         results = bulk(
             [params for _, params, _ in chunk],
             num_runs,

@@ -15,7 +15,8 @@ Error mapping, service exceptions → HTTP statuses::
 
     ValueError          400  (malformed spec / filter / parameter)
     KeyError            404  (unknown campaign id)
-    HttpError(s, msg)   s    (raised by handlers directly)
+    HttpError(s, msg)   s    (raised by handlers directly; 413 for a
+                             body over MAX_BODY_BYTES)
     anything else       500  (traceback to stderr, one-line body)
 """
 
@@ -43,8 +44,14 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     500: "Internal Server Error",
 }
+
+
+#: Largest request body read, in bytes: room for tens of thousands of
+#: explicit genomes, while bounding what one request makes us buffer.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class HttpError(Exception):
@@ -71,11 +78,16 @@ def _finite_float(literal: str) -> float:
 
 
 def _json_body(environ) -> object:
-    """Parse the request body as JSON, or raise a 400."""
+    """Parse the request body as JSON, or raise a 400 (413 if too big)."""
     try:
         length = int(environ.get("CONTENT_LENGTH") or 0)
     except (TypeError, ValueError):
         raise HttpError(400, "bad Content-Length header") from None
+    if length > MAX_BODY_BYTES:
+        raise HttpError(
+            413, f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit"
+        )
     raw = environ["wsgi.input"].read(length) if length > 0 else b""
     if not raw:
         raise HttpError(400, "empty request body (expected a JSON object)")

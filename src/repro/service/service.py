@@ -54,6 +54,12 @@ SUBMIT_BACKOFF = 0.05
 #: (3e6 × 42 × 8 B ≈ 0.94 GiB).
 MAX_CHUNK_LANE_DECISIONS = 3_000_000
 
+#: Lane-decisions one whole submission may claim, summed over its
+#: scenarios (runs × decisions each).  This bounds compute rather than
+#: memory: at ~3.2 µs per lane-decision on one core, 1e9 is about 53
+#: core-minutes of kernel time.
+MAX_REQUEST_LANE_DECISIONS = 1_000_000_000
+
 
 def _service_config(preset: str):
     """Resolve a table preset name to its :class:`AcasConfig`."""
@@ -69,19 +75,24 @@ def _service_config(preset: str):
 
 
 def _check_admission(plan: CampaignPlan) -> None:
-    """Reject a plan any chunk of which would exceed the memory budget.
+    """Reject a plan over the per-chunk memory or per-request budget.
 
     Raises ``ValueError`` (a 400 over HTTP) naming the first chunk over
-    :data:`MAX_CHUNK_LANE_DECISIONS`.  Called before anything is
+    :data:`MAX_CHUNK_LANE_DECISIONS`, or the request's total when it is
+    over :data:`MAX_REQUEST_LANE_DECISIONS`.  Called before anything is
     registered or enqueued, so a rejected request leaves no trace.
     """
     campaign = plan.campaign
+    runs = campaign.runs_per_scenario
+    total = 0
     for number, chunk in enumerate(plan.chunks):
-        lanes = len(chunk) * campaign.runs_per_scenario
-        decisions = max(
+        counts = [
             decision_count(params, campaign.backend.config)
             for _, params, _ in chunk
-        )
+        ]
+        total += runs * sum(counts)
+        lanes = len(chunk) * runs
+        decisions = max(counts)
         if lanes * decisions > MAX_CHUNK_LANE_DECISIONS:
             raise ValueError(
                 f"chunk {number} (scenarios {chunk[0][0]}-{chunk[-1][0]}) "
@@ -91,6 +102,14 @@ def _check_admission(plan: CampaignPlan) -> None:
                 '(~1 GiB of noise tape); submit a smaller "chunk_size" '
                 'or fewer "runs", or shorten "time_to_cpa"'
             )
+    if total > MAX_REQUEST_LANE_DECISIONS:
+        raise ValueError(
+            f"the request needs {total:,} lane-decisions (runs x "
+            f"decisions, summed over {len(plan.scenarios)} scenarios), "
+            f"over the per-request budget of "
+            f"{MAX_REQUEST_LANE_DECISIONS:,}; submit fewer scenarios or "
+            'fewer "runs", or shorten "time_to_cpa"'
+        )
 
 
 def _timeout_seconds(value) -> float:

@@ -17,9 +17,9 @@ pieces:
 - :mod:`repro.sim.encounter` — the high-level ``run_encounter`` entry
   point used by everything else (GA fitness, Monte-Carlo, examples);
 - :mod:`repro.sim.batch` — a vectorized NumPy fast path that simulates
-  the many noisy runs of one encounter simultaneously (with pre-drawn
-  noise tapes and per-phase :class:`~repro.sim.batch.KernelProfile`
-  timers).
+  the many noisy runs of many encounters as one lane array (with
+  pre-drawn noise tapes and per-phase
+  :class:`~repro.sim.batch.KernelProfile` timers).
 """
 
 from repro.sim.agents import UavAgent

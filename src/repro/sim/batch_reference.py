@@ -6,9 +6,9 @@ as it stood **before** the noise-tape kernel refactor.  It exists for
 two jobs and must not be "improved":
 
 - **Equivalence baseline** — the tape kernel promises bitwise-identical
-  results to the pre-refactor draws.  ``run()`` evolves together with
-  the live kernel, so it cannot witness an accidental numerics change;
-  this frozen copy can.  If a test comparing against this module fails,
+  results to the pre-refactor draws.  ``run()`` is now a one-scenario
+  call of the live kernel, so it cannot witness an accidental numerics
+  change; this frozen copy can.  If a test comparing against this module fails,
   either the kernel broke or the repo's numerics were changed on
   purpose — in the latter case update this module (and say so loudly in
   the commit), because every stored campaign digest shifts with it.

@@ -15,6 +15,7 @@ from repro.dynamics.aircraft import cpa_horizontal_miss, time_to_cpa
 from repro.encounters.encoding import EncounterParameters, decode_encounter
 from repro.search.fitness import COLLISION_GAIN, paper_fitness
 from repro.sim import BatchEncounterSimulator, EncounterSimConfig
+from repro.sim.batch import decision_count
 from repro.sim.batch_reference import reference_run_many
 from repro.sim.disturbance import DisturbanceModel
 from repro.sim.sensors import AdsBSensor
@@ -168,6 +169,46 @@ class TestBatchSimulatorProperties:
         diagonal = math.hypot(152.4, 30.48)
         if result.nmac.any():
             assert result.min_separation[result.nmac].min() <= diagonal
+
+
+class TestNoiseFreeCpaRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(params=encounter_params, substeps=st.integers(1, 5))
+    def test_min_separation_is_the_straight_line_miss(self, params, substeps):
+        # Encode -> simulate -> measure: with nobody maneuvering and no
+        # disturbance both aircraft fly straight lines, so the simulated
+        # minimum is the 3-D miss of the decoded states (CPA time
+        # clipped to the simulated duration), up to how far the nearest
+        # physics sample can sit from that CPA time.
+        config = EncounterSimConfig(
+            physics_substeps=substeps,
+            disturbance=DisturbanceModel(
+                vertical_rate_std=0.0, horizontal_accel_std=0.0
+            ),
+        )
+        simulator = BatchEncounterSimulator(None, config, equipage="none")
+        result = simulator.run(params, 2, seed=0)
+
+        own, intruder = decode_encounter(params)
+        rel_pos = intruder.position - own.position
+        rel_vel = intruder.velocity - own.velocity
+        speed_sq = float(rel_vel @ rel_vel)
+        duration = decision_count(params, config) * config.decision_dt
+        t_cpa = (
+            min(max(-float(rel_pos @ rel_vel) / speed_sq, 0.0), duration)
+            if speed_sq > 0.0 else 0.0
+        )
+        miss = float(np.linalg.norm(rel_pos + rel_vel * t_cpa))
+        sub_dt = config.decision_dt / substeps
+        bound = math.hypot(miss, math.sqrt(speed_sq) * sub_dt / 2.0)
+
+        assert np.all(result.min_separation >= miss - 1e-6)
+        assert np.all(result.min_separation <= bound + 1e-6)
+        # The configured CPA offset is one point of the straight lines,
+        # so the true miss can only be smaller.
+        assert miss <= math.hypot(
+            params.cpa_horizontal_distance, params.cpa_vertical_distance
+        ) + 1e-6
 
 
 class TestUnequippedTableIndependence:

@@ -28,6 +28,11 @@ from repro.service import (
     make_app,
     make_http_server,
 )
+from repro.service.app import MAX_BODY_BYTES
+from repro.service.service import (
+    MAX_CHUNK_LANE_DECISIONS,
+    MAX_REQUEST_LANE_DECISIONS,
+)
 from repro.service.testing import ServiceClient
 from repro.store import ResultStore
 from repro.store.spec import results_digest
@@ -273,6 +278,56 @@ class TestErrorPaths:
         assert response.status == 400
         error = response.json()["error"]
         assert "chunk 0" in error and '"runs"' in error
+        assert store.campaigns() == []
+
+    def test_request_over_total_budget_is_400_and_stores_nothing(
+        self, client, store
+    ):
+        # Every chunk is one scenario of 2900 runs x 1020 decisions,
+        # under the per-chunk budget; 400 of them together are over the
+        # per-request budget.
+        genome = [30.0, 0.0, 1000.0, 50.0, 1.0, -10.0, 25.0, 2.5, 1.5]
+        runs = 2900
+        assert runs * 1020 <= MAX_CHUNK_LANE_DECISIONS
+        assert 400 * runs * 1020 > MAX_REQUEST_LANE_DECISIONS
+        response = client.post(
+            "/campaigns",
+            json_body={
+                **UNEQUIPPED, "scenarios": [genome] * 400, "runs": runs,
+                "chunk_size": 1,
+            },
+        )
+        assert response.status == 400
+        error = response.json()["error"]
+        assert "per-request budget" in error and "400 scenarios" in error
+        assert store.campaigns() == []
+
+    def test_oversized_body_is_413_unread_and_stores_nothing(
+        self, client, store
+    ):
+        class UnreadableInput:
+            reads = 0
+
+            def read(self, *args):
+                UnreadableInput.reads += 1
+                return b"{}"
+
+        start = {}
+        body = b"".join(client.app(
+            {
+                "REQUEST_METHOD": "POST",
+                "PATH_INFO": "/campaigns",
+                "QUERY_STRING": "",
+                "CONTENT_LENGTH": str(MAX_BODY_BYTES + 1),
+                "wsgi.input": UnreadableInput(),
+            },
+            lambda status, headers, exc_info=None: start.update(
+                status=status
+            ),
+        ))
+        assert start["status"].startswith("413 ")
+        assert "exceeds" in json.loads(body)["error"]
+        assert UnreadableInput.reads == 0
         assert store.campaigns() == []
 
     def test_malformed_body_is_400(self, client):
