@@ -58,14 +58,16 @@ def test_bench_fig6_fitness_over_generations(benchmark, fast_table, smoke):
         f"mean fitness rose {first_mean:.1f} -> {last_mean:.1f} "
         f"({last_mean / first_mean:.2f}x)"
     )
-    results_dir = Path(__file__).parent / "results"
-    scatter_path = fitness_scatter(
-        outcome.ga_result, results_dir / "fig6_scatter.svg"
-    )
-    means_path = generation_means_figure(
-        outcome.ga_result, results_dir / "fig6_means.svg"
-    )
-    lines.append(f"figures: {scatter_path.name}, {means_path.name}")
+    # The figures are recorded results too: smoke runs leave them be.
+    if not smoke:
+        results_dir = Path(__file__).parent / "results"
+        scatter_path = fitness_scatter(
+            outcome.ga_result, results_dir / "fig6_scatter.svg"
+        )
+        means_path = generation_means_figure(
+            outcome.ga_result, results_dir / "fig6_means.svg"
+        )
+        lines.append(f"figures: {scatter_path.name}, {means_path.name}")
     record_result("fig6_ga_fitness", "\n".join(lines) + "\n")
 
     # Re-simulate the search's top encounters through the campaign API

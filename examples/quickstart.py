@@ -203,12 +203,19 @@ RUNS = 50
 
 
 def main() -> None:
+    # The store, the queue beside it and the traced spans all live in
+    # one temporary directory, removed on exit after the store closes.
+    with tempfile.TemporaryDirectory() as workdir:
+        with ResultStore(Path(workdir) / "quickstart.sqlite") as store:
+            tour(store)
+
+
+def tour(store: ResultStore) -> None:
+    """Steps 1-10 of the module docstring, persisting into *store*."""
     print("=== 1. Generating the collision avoidance logic ===")
     table = build_logic_table(test_config(), verbose=True)
     print(f"solved: {table}")
     print()
-
-    store = ResultStore(Path(tempfile.mkdtemp()) / "quickstart.sqlite")
 
     print(f"=== 2. Campaign: {SCENARIOS} x {RUNS} runs, equipped ===")
     equipped = Campaign(

@@ -74,10 +74,21 @@ class LogicTable:
             raise ValueError(
                 f"q_values has shape {q_values.shape}, expected {expected}"
             )
+        # The table owns q and freezes it: a campaign id covers the
+        # table's digest, so nothing may change q behind that id.
+        q_values.flags.writeable = False
         self.config = config
         self.q = q_values
         self.grid = make_cube_grid(config)
         self.metadata: Dict[str, object] = dict(metadata or {})
+        #: Memo of :func:`repro.store.spec.table_digest` (frozen q and
+        #: config cannot make it stale).
+        self._digest: Optional[str] = None
+
+    def __reduce__(self):
+        # Rebuild through __init__: an unpickled q comes back writable
+        # and must be frozen again before any digest is memoized.
+        return (type(self), (self.config, self.q, self.metadata))
 
     # ------------------------------------------------------------------
     # Lookup

@@ -58,7 +58,7 @@ import json
 import os
 import sqlite3
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -255,6 +255,9 @@ class GcReport:
     failed_chunks: int = 0
     jobs: int = 0
     stale_workers: int = 0
+    #: Per-campaign chunk tallies the pass decided on, read in the same
+    #: transaction as its deletes.
+    tallies: Dict[str, ChunkCounts] = field(default_factory=dict)
 
     @property
     def chunks(self) -> int:
@@ -988,11 +991,10 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # Garbage collection
     # ------------------------------------------------------------------
-    # repro-lint: ok[R4] the eligibility scan is read-only snapshot
-    # SELECTs on this handle's private connection; every deletion runs
-    # in the _write transaction below, which re-applies only decisions
-    # (done/failed chunks, stale heartbeats) that cannot re-enter
-    # flight — GC never cancels pending or claimed work.
+    # repro-lint: ok[R4] scan() runs its SELECTs inside the _write
+    # transaction of a real pass, so the tallies it decides on cannot
+    # go stale before the deletes; a dry run calls it alone as a
+    # read-only snapshot on this handle's private connection.
     def gc(
         self,
         campaign_id: Optional[str] = None,
@@ -1014,62 +1016,74 @@ class WorkQueue:
         Worker liveness rows whose heartbeat is older than
         *worker_ttl* seconds are dropped as well (dead fleets).
 
-        ``dry_run=True`` reports what would be dropped without
+        The chunk tallies are read in the same transaction as the
+        deletes, so a chunk finishing or a job being re-submitted
+        concurrently cannot slip between them; the report carries those
+        tallies.  ``dry_run=True`` reports what would be dropped without
         touching anything.  Returns a :class:`GcReport` either way.
         """
-        now = self._now()
-        job_rows = self._conn.execute(
-            "SELECT campaign_id, submitted_at FROM jobs"
-            + (" WHERE campaign_id = ?" if campaign_id is not None else ""),
-            (campaign_id,) if campaign_id is not None else (),
-        ).fetchall()
-        tallies = self.counts(campaign_id)
 
-        eligible: List[str] = []
-        droppable_jobs: List[str] = []
-        done_chunks = failed_chunks = 0
-        for row in job_rows:
-            tally = tallies.get(row["campaign_id"], ChunkCounts())
-            drained = tally.pending == 0 and tally.claimed == 0
-            aged_out = False
-            if max_age is not None:
-                try:
-                    submitted = datetime.fromisoformat(
-                        row["submitted_at"]
-                    ).timestamp()
-                except ValueError:
-                    submitted = None
-                if submitted is not None:
-                    aged_out = now - submitted > max_age
-            if not (drained or aged_out):
-                continue
-            eligible.append(row["campaign_id"])
-            done_chunks += tally.done
-            failed_chunks += tally.failed
-            # Deleting the done/failed chunks leaves the job orphaned
-            # exactly when it had no pending/claimed chunks.
-            if drained:
-                droppable_jobs.append(row["campaign_id"])
+        def scan() -> Tuple[GcReport, List[str], float]:
+            now = self._now()
+            job_rows = self._conn.execute(
+                "SELECT campaign_id, submitted_at FROM jobs"
+                + (
+                    " WHERE campaign_id = ?"
+                    if campaign_id is not None else ""
+                ),
+                (campaign_id,) if campaign_id is not None else (),
+            ).fetchall()
+            tallies = self.counts(campaign_id)
 
-        stale_cutoff = now - worker_ttl
-        stale_workers = self._conn.execute(
-            "SELECT COUNT(*) FROM workers WHERE heartbeat < ?",
-            (stale_cutoff,),
-        ).fetchone()[0]
+            eligible: List[str] = []
+            droppable_jobs: List[str] = []
+            done_chunks = failed_chunks = 0
+            for row in job_rows:
+                tally = tallies.get(row["campaign_id"], ChunkCounts())
+                drained = tally.pending == 0 and tally.claimed == 0
+                aged_out = False
+                if max_age is not None:
+                    try:
+                        submitted = datetime.fromisoformat(
+                            row["submitted_at"]
+                        ).timestamp()
+                    except ValueError:
+                        submitted = None
+                    if submitted is not None:
+                        aged_out = now - submitted > max_age
+                if not (drained or aged_out):
+                    continue
+                eligible.append(row["campaign_id"])
+                done_chunks += tally.done
+                failed_chunks += tally.failed
+                # Deleting the done/failed chunks leaves the job
+                # orphaned exactly when it had no pending/claimed
+                # chunks.
+                if drained:
+                    droppable_jobs.append(row["campaign_id"])
 
-        report = GcReport(
-            dry_run=dry_run,
-            campaigns=tuple(eligible),
-            done_chunks=done_chunks,
-            failed_chunks=failed_chunks,
-            jobs=len(droppable_jobs),
-            stale_workers=stale_workers,
-        )
-        if dry_run or not (eligible or stale_workers):
-            return report
+            stale_cutoff = now - worker_ttl
+            stale_workers = self._conn.execute(
+                "SELECT COUNT(*) FROM workers WHERE heartbeat < ?",
+                (stale_cutoff,),
+            ).fetchone()[0]
+            report = GcReport(
+                dry_run=dry_run,
+                campaigns=tuple(eligible),
+                done_chunks=done_chunks,
+                failed_chunks=failed_chunks,
+                jobs=len(droppable_jobs),
+                stale_workers=stale_workers,
+                tallies=tallies,
+            )
+            return report, droppable_jobs, stale_cutoff
 
-        def txn() -> None:
-            for cid in eligible:
+        if dry_run:
+            return scan()[0]
+
+        def txn() -> GcReport:
+            report, droppable_jobs, stale_cutoff = scan()
+            for cid in report.campaigns:
                 self._conn.execute(
                     "DELETE FROM chunks WHERE campaign_id = ?"
                     " AND status IN ('done', 'failed')",
@@ -1086,9 +1100,9 @@ class WorkQueue:
                 "DELETE FROM worker_metrics WHERE updated < ?",
                 (stale_cutoff,),
             )
+            return report
 
-        self._write(txn)
-        return report
+        return self._write(txn)
 
     @staticmethod
     def _job(row: sqlite3.Row) -> JobInfo:

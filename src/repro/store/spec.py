@@ -97,11 +97,19 @@ def table_digest(table) -> Optional[str]:
     Hashes the array buffer directly (not the npz container, whose zip
     framing is not guaranteed byte-stable) so the same solved table
     always digests identically.
+
+    The digest is memoized on a table whose ``q`` is read-only (every
+    :class:`~repro.acasx.logic_table.LogicTable` freezes its ``q``), so
+    a search that opens one campaign per generation hashes the Q-array
+    once, not once per generation.
     """
     if table is None:
         return None
+    memo = getattr(table, "_digest", None)
+    if memo is not None:
+        return memo
     q = np.ascontiguousarray(table.q)
-    return _sha256(
+    digest = _sha256(
         str(q.dtype).encode(),
         _canonical_json(list(q.shape)),
         q.tobytes(),
@@ -109,6 +117,9 @@ def table_digest(table) -> Optional[str]:
         if dataclasses.is_dataclass(table.config)
         else repr(table.config).encode(),
     )
+    if not table.q.flags.writeable:
+        table._digest = digest
+    return digest
 
 
 def scenarios_digest(scenario_list) -> str:

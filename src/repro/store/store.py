@@ -6,8 +6,19 @@ provenance — backend, equipage, runs, seed entropy, digests — plus
 accumulated wall time and the machine's CPU count).  ``records`` holds
 one row per completed scenario, keyed ``(campaign_id,
 scenario_index)``: the aggregate columns queries filter on, the genome,
-and the full per-run outcome arrays as a lossless npz blob — enough to
+and the full per-run outcome arrays as one lossless blob — enough to
 reconstruct a :class:`~repro.experiments.ResultSet` bit for bit.
+
+The per-run blob is a fixed raw layout: the 4-byte magic ``RUN1``, the
+run count *n* as 8 little-endian bytes, then the raw bytes of each
+``BatchResult`` array in :data:`_RUN_FIELDS` order at fixed dtypes —
+``<f8`` separations, then ``|b1`` NMAC/alert flags — so a blob of *n*
+runs is exactly ``12 + 19 n`` bytes.  Arrays are never cast on the
+way in (a cast would change the outcome bits); any other dtype or
+shape is refused.  Rows written before this layout hold an npz blob;
+a blob starting with the zip magic ``b"PK\\x03\\x04"`` is read through
+``np.load`` as before, so older stores open, verify and resume
+unchanged.
 
 That primary key is the dedup/resume contract: inserting an
 already-stored ``(campaign, scenario)`` is a no-op, and
@@ -29,6 +40,7 @@ import hashlib
 import io
 import json
 import sqlite3
+import struct
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -97,18 +109,68 @@ _RUN_FIELDS = (
     "intruder_alerted",
 )
 
+#: Exact dtype of each packed array, in :data:`_RUN_FIELDS` order.
+_RUN_DTYPES = tuple(
+    np.dtype(code) for code in ("<f8", "<f8", "|b1", "|b1", "|b1")
+)
+
+#: Raw blob header: magic, then the run count (little-endian u64).
+_RUNS_HEADER = struct.Struct("<4sQ")
+_RUNS_MAGIC = b"RUN1"
+
+#: Bytes per run of a raw blob (all five arrays).
+_RUN_ITEMSIZE = sum(dtype.itemsize for dtype in _RUN_DTYPES)
+
+#: Leading bytes of a legacy npz blob (a zip archive).
+_NPZ_MAGIC = b"PK\x03\x04"
+
 
 def _pack_runs(runs: BatchResult) -> bytes:
-    """Lossless npz encoding of the per-run outcome arrays."""
-    buffer = io.BytesIO()
-    np.savez(buffer, **{f: getattr(runs, f) for f in _RUN_FIELDS})
-    return buffer.getvalue()
+    """Lossless raw encoding of the per-run outcome arrays.
+
+    Raises ``ValueError`` for an array of any other dtype or shape than
+    the layout fixes: casting would change the stored bits.
+    """
+    num_runs = runs.num_runs
+    parts = [_RUNS_HEADER.pack(_RUNS_MAGIC, num_runs)]
+    for field, dtype in zip(_RUN_FIELDS, _RUN_DTYPES):
+        array = np.asarray(getattr(runs, field))
+        if array.dtype != dtype or array.shape != (num_runs,):
+            raise ValueError(
+                f"runs.{field} is {array.dtype.str}{array.shape}; the"
+                f" store packs {dtype.str} arrays of shape ({num_runs},)"
+            )
+        parts.append(array.tobytes())
+    return b"".join(parts)
 
 
 def _unpack_runs(blob: bytes) -> BatchResult:
-    """Inverse of :func:`_pack_runs` (exact: raw array buffers)."""
-    with np.load(io.BytesIO(blob)) as data:
-        return BatchResult(**{f: data[f] for f in _RUN_FIELDS})
+    """Inverse of :func:`_pack_runs`; also reads legacy npz blobs.
+
+    Raises on a blob whose length does not match its run count (a torn
+    write), so :meth:`ResultStore.verify` reports it undecodable.
+    """
+    if blob[:4] == _NPZ_MAGIC:
+        with np.load(io.BytesIO(blob)) as data:
+            return BatchResult(**{f: data[f] for f in _RUN_FIELDS})
+    magic, num_runs = _RUNS_HEADER.unpack_from(blob)
+    if magic != _RUNS_MAGIC:
+        raise ValueError(f"unknown runs blob magic {magic!r}")
+    expected = _RUNS_HEADER.size + num_runs * _RUN_ITEMSIZE
+    if len(blob) != expected:
+        raise ValueError(
+            f"runs blob is {len(blob)} bytes; {num_runs} runs need"
+            f" {expected}"
+        )
+    arrays = {}
+    offset = _RUNS_HEADER.size
+    for field, dtype in zip(_RUN_FIELDS, _RUN_DTYPES):
+        # copy(): writable, aligned arrays, as np.load returned them.
+        arrays[field] = np.frombuffer(
+            blob, dtype=dtype, count=num_runs, offset=offset
+        ).copy()
+        offset += num_runs * dtype.itemsize
+    return BatchResult(**arrays)
 
 
 def _entropy_to_text(entropy: Optional[int]) -> Optional[str]:
@@ -789,7 +851,8 @@ class ResultStore:
         Returns plain dicts of the indexed per-scenario columns without
         decoding any per-run blob — the shape the service's records
         endpoint and the watchlist's ranking scans use, where decoding
-        millions of npz blobs would dominate the query.
+        millions of per-run blobs (raw, or npz in legacy rows; see the
+        module docstring) would dominate the query.
         """
         columns = (
             "campaign_id, scenario_index, name, num_runs, nmac_rate,"

@@ -1075,6 +1075,9 @@ class TestQueueGc:
             report = queue.gc()
             assert not report.dry_run
             assert report.chunks == 2 and report.jobs == 1
+            # The report carries the tallies the pass decided on.
+            assert report.tallies["finished"].done == 2
+            assert report.tallies["active"].pending == 1
             assert queue.chunk_counts("finished").total == 0
             assert [job.campaign_id for job in queue.jobs()] == ["active"]
             # The active campaign kept everything — even its done

@@ -274,6 +274,30 @@ class TestStoreIntegrity:
             assert store.verify().ok
             assert results_digest(healed) == results_digest(serial)
 
+    def test_torn_raw_blob_fails_decode_without_a_checksum(
+        self, tmp_path
+    ):
+        # The raw per-run layout carries its run count, so a torn blob
+        # is undecodable on its own — a row without a stored checksum
+        # (the legacy shape) is still caught.
+        campaign = make_campaign()
+        plan = FaultPlan(
+            seed=0, rules=[FaultRule("store.write.torn", times=(1,))]
+        )
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            with faults.inject(plan):
+                result = campaign.run(seed=SEED, store=store)
+            assert plan.fired("store.write.torn") == 1
+            store._conn.execute(
+                "UPDATE records SET checksum = NULL WHERE campaign_id = ?",
+                (result.metadata["campaign_id"],),
+            )
+            store._conn.commit()
+            report = store.verify()
+            assert len(report.corrupt) == 1
+            assert "undecodable runs blob" in report.corrupt[0].reason
+            assert report.missing_checksum == SCENARIOS
+
     def test_repair_then_resubmit_heals_through_the_queue(self, paths):
         # The queue-path twin of the serial resume test above: after
         # ``--repair`` the job's chunks are all settled, so a re-submit
@@ -536,11 +560,21 @@ class TestGcUnderChaos:
             gc_passes = 0
             with WorkQueue(queue_path) as admin:
                 while worker_thread.is_alive():
-                    before = admin.chunk_counts(cid)
-                    admin.gc()
+                    report = admin.gc()
                     after = admin.chunk_counts(cid)
-                    # Whatever gc did, no actionable chunk vanished.
-                    assert after.total >= before.pending + before.claimed
+                    # Checked against the tallies gc acted on, read in
+                    # its own transaction (a count taken before gc() is
+                    # stale once the last chunk finishes and the
+                    # drained campaign is rightly collected).  No
+                    # pending or claimed chunk gc saw vanished, and a
+                    # campaign gc did not collect lost no chunk at all.
+                    seen = report.tallies.get(cid)
+                    if seen is not None:
+                        assert after.total >= seen.pending + seen.claimed
+                        if cid in report.campaigns:
+                            assert seen.pending == seen.claimed == 0
+                        else:
+                            assert after.total >= seen.total
                     gc_passes += 1
                     time.sleep(0.01)
             worker_thread.join()

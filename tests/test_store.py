@@ -9,18 +9,27 @@ lossless seed-entropy export, cross-campaign queries/diffs, and the
 pipelines (Monte-Carlo, search) that log through the store.
 """
 
+import dataclasses
+import hashlib
+import io
 import json
+import pickle
+import struct
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.acasx.logic_table import LogicTable
 from repro.encounters import StatisticalEncounterModel, head_on_encounter
 from repro.experiments import Campaign, ResultSet, SampledSource
 from repro.montecarlo import MonteCarloEstimator
 from repro.search.ga import GAConfig
 from repro.search.runner import SearchRunner
-from repro.store import ResultStore
+from repro.sim.batch import BatchResult
+from repro.store import ResultStore, spec as spec_module
+from repro.store.store import _RUN_FIELDS, _pack_runs, _unpack_runs
 
 
 @pytest.fixture
@@ -447,6 +456,142 @@ class TestStoreMisc:
         with ResultStore(path) as reopened:
             rebuilt = reopened.resultset(campaign_id)
             assert_records_identical(results, rebuilt)
+
+
+def _legacy_npz_blob(runs: BatchResult) -> bytes:
+    """A per-run blob in the npz encoding older stores hold."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **{f: getattr(runs, f) for f in _RUN_FIELDS})
+    return buffer.getvalue()
+
+
+def _replace_blob(store, campaign_id, index, blob, checksum) -> None:
+    store._conn.execute(
+        "UPDATE records SET runs_blob = ?, checksum = ?"
+        " WHERE campaign_id = ? AND scenario_index = ?",
+        (blob, checksum, campaign_id, index),
+    )
+    store._conn.commit()
+
+
+class TestRunsBlob:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 600), st.integers(0, 2**32 - 1))
+    def test_roundtrip_is_bitwise(self, n, seed):
+        rng = np.random.default_rng(seed)
+        # Arbitrary float64 bit patterns (NaN payloads included), led
+        # by the special values a cast or a text format would mangle.
+        floats = rng.integers(0, 2**64, size=2 * n, dtype=np.uint64).view(
+            np.float64
+        )
+        specials = np.array([-0.0, np.inf, -np.inf, np.nan])[: 2 * n]
+        floats[: len(specials)] = specials
+        bools = rng.random(3 * n) < 0.5
+        runs = BatchResult(
+            min_separation=floats[:n],
+            min_horizontal=floats[n:],
+            nmac=bools[:n],
+            own_alerted=bools[n:2 * n],
+            intruder_alerted=bools[2 * n:],
+        )
+        blob = _pack_runs(runs)
+        assert len(blob) == 12 + 19 * n
+        decoded = _unpack_runs(blob)
+        for field in _RUN_FIELDS:
+            original, back = getattr(runs, field), getattr(decoded, field)
+            assert back.dtype == original.dtype
+            assert back.tobytes() == original.tobytes()
+            assert back.flags.writeable
+
+    def test_refuses_to_cast(self):
+        n = 4
+        runs = BatchResult(
+            min_separation=np.zeros(n),
+            min_horizontal=np.zeros(n),
+            nmac=np.zeros(n, dtype=np.int64),
+            own_alerted=np.zeros(n, dtype=bool),
+            intruder_alerted=np.zeros(n, dtype=bool),
+        )
+        with pytest.raises(ValueError, match="runs.nmac"):
+            _pack_runs(runs)
+        with pytest.raises(ValueError, match="runs.min_horizontal"):
+            _pack_runs(dataclasses.replace(
+                runs,
+                nmac=np.zeros(n, dtype=bool),
+                min_horizontal=np.zeros(n, dtype=np.float32),
+            ))
+
+    def test_rejects_blob_of_wrong_length(self):
+        runs = BatchResult(
+            np.ones(5), np.ones(5), *(np.ones(5, dtype=bool),) * 3
+        )
+        blob = _pack_runs(runs)
+        for bad in (blob[:-1], blob + b"\x00", blob[:7]):
+            with pytest.raises((ValueError, struct.error)):
+                _unpack_runs(bad)
+
+    def test_legacy_npz_rows_read_back_bitwise(self, test_table, store):
+        results = make_campaign(test_table).run(seed=3, store=store)
+        cid = results.metadata["campaign_id"]
+        legacy = _legacy_npz_blob(results[0].runs)
+        assert legacy[:4] == b"PK\x03\x04"
+        _replace_blob(
+            store, cid, 0, legacy, hashlib.sha256(legacy).hexdigest()
+        )
+        reread = store.get_record(cid, 0)
+        for field in _RUN_FIELDS:
+            assert (
+                getattr(reread.runs, field).tobytes()
+                == getattr(results[0].runs, field).tobytes()
+            )
+        assert_records_identical(results, store.resultset(cid))
+        assert store.verify().ok
+
+        # A truncated legacy blob fails its checksum, and fails decode
+        # even where no checksum was stored.
+        _replace_blob(
+            store, cid, 0, legacy[: len(legacy) // 2],
+            hashlib.sha256(legacy).hexdigest(),
+        )
+        report = store.verify()
+        assert [item.scenario_index for item in report.corrupt] == [0]
+        assert "checksum mismatch" in report.corrupt[0].reason
+        _replace_blob(store, cid, 0, legacy[: len(legacy) // 2], None)
+        report = store.verify()
+        assert "undecodable" in report.corrupt[0].reason
+
+
+class TestTableDigestMemo:
+    def test_q_is_read_only(self, tiny_table):
+        assert not tiny_table.q.flags.writeable
+        with pytest.raises(ValueError):
+            tiny_table.q[0, 0, 0, 0] = 1.0
+
+    def test_second_capture_does_not_rehash_q(
+        self, test_table, monkeypatch
+    ):
+        table = LogicTable(test_table.config, test_table.q.copy())
+        hashed = []
+        real_sha256 = spec_module._sha256
+
+        def counting_sha256(*parts):
+            hashed.extend(len(part) for part in parts)
+            return real_sha256(*parts)
+
+        monkeypatch.setattr(spec_module, "_sha256", counting_sha256)
+        first = make_campaign(table).plan(7).spec
+        assert table.q.nbytes in hashed
+        hashed.clear()
+        second = make_campaign(table).plan(7).spec
+        assert table.q.nbytes not in hashed
+        assert second.campaign_id == first.campaign_id
+        assert first.table_digest == spec_module.table_digest(test_table)
+
+    def test_pickled_table_is_frozen_and_digests_alike(self, tiny_table):
+        digest = spec_module.table_digest(tiny_table)
+        clone = pickle.loads(pickle.dumps(tiny_table))
+        assert not clone.q.flags.writeable
+        assert spec_module.table_digest(clone) == digest
 
 
 class TestFilterHardening:
